@@ -1,7 +1,7 @@
 // C3 — the Commit Manager's safe group writes (§6): commit cost vs. group
-// size. Expected shape: per-commit overhead (catalog rewrite + root flip)
-// is amortized as the group grows — committing N objects in one group is
-// far cheaper than N single-object commits.
+// size. Expected shape: per-commit overhead (the dirty catalog leaves and
+// the root flip) is amortized as the group grows — committing N objects
+// in one group is far cheaper than N single-object commits.
 
 #include <benchmark/benchmark.h>
 
@@ -79,9 +79,11 @@ void BM_RootFlip(benchmark::State& state) {
   storage::SimulatedDisk disk(64, 8192);
   storage::CommitManager commit_manager(&disk);
   if (!commit_manager.Format().ok()) return;
-  std::uint64_t epoch = 2;
+  storage::RootState root;
+  root.epoch = 2;
   for (auto _ : state) {
-    Status s = commit_manager.CommitGroup({}, {}, {}, epoch++);
+    Status s = commit_manager.CommitGroup({}, root);
+    ++root.epoch;
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
   }
 }
@@ -117,11 +119,47 @@ void BM_CommitWorkShape(benchmark::State& state) {
   }
 }
 
+// Work-shape gauge: tracks a single-object commit writes over a catalog
+// of 1k and of 20k objects, averaged over 64 commits of objects spread
+// across the catalog. A commit shadows only its data track, the catalog
+// leaves its cluster's extents live on (one, or two when the cluster
+// straddles a leaf boundary) and the root, so both read about the same.
+// Each rewrite keeps the image's size, so no cluster overflows its track.
+void BM_OneObjectCommitTracks(benchmark::State& state) {
+  constexpr int kCommits = 64;
+  for (auto _ : state) {
+    for (int cataloged : {1000, 20000}) {
+      storage::SimulatedDisk disk(65536, 8192);
+      storage::StorageEngine engine(&disk);
+      if (!engine.Format().ok()) return;
+      ObjectMemory memory;
+      std::vector<GsObject> batch = MakeBatch(memory, 1000, cataloged);
+      std::vector<const GsObject*> ptrs;
+      for (const auto& o : batch) ptrs.push_back(&o);
+      if (!engine.CommitObjects(ptrs, memory.symbols()).ok()) return;
+      const std::uint64_t before = disk.stats().tracks_written;
+      for (int c = 0; c < kCommits; ++c) {
+        GsObject& target =
+            batch[static_cast<std::size_t>(c * cataloged / kCommits)];
+        target.WriteNamed(memory.symbols().Intern("payload"), 1,
+                          Value::String(std::string(64, 'y')));
+        if (!engine.CommitObjects({&target}, memory.symbols()).ok()) return;
+      }
+      telemetry::MetricsRegistry::Global()
+          .GetGauge("commit.bench.one_object_tracks_x1000_" +
+                    std::to_string(cataloged / 1000) + "k")
+          ->Set(static_cast<std::int64_t>(
+              (disk.stats().tracks_written - before) * 1000 / kCommits));
+    }
+  }
+}
+
 }  // namespace
 
 BENCHMARK(BM_GroupCommit)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 BENCHMARK(BM_SingleObjectCommits);
 BENCHMARK(BM_RootFlip);
 BENCHMARK(BM_CommitWorkShape)->Iterations(1);
+BENCHMARK(BM_OneObjectCommitTracks)->Iterations(1);
 
 GS_BENCH_MAIN("commit");

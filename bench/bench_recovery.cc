@@ -1,8 +1,8 @@
 // Recovery-path cost: StorageEngine::Open over a device with N committed
-// epochs (root scan + catalog reassembly + free-map rebuild), and the
-// same with the newest catalog corrupted so Open takes the root-slot
-// fallback. Expected shape: Open is O(catalog size), and the fallback
-// adds one failed catalog read — not a full device scan.
+// epochs (root scan + catalog page reads + free-map rebuild), and the
+// same with a catalog leaf of the newest epoch corrupted so Open takes the
+// root-slot fallback. Expected shape: Open is O(catalog size), and the
+// fallback adds at most one failed catalog read — not a full device scan.
 
 #include <benchmark/benchmark.h>
 
@@ -57,12 +57,12 @@ void BM_OpenWithRootFallback(benchmark::State& state) {
   const int commits = static_cast<int>(state.range(0));
   storage::SimulatedDisk disk(65536, 8192);
   Populate(&disk, commits, 16);
-  // Bit rot in the newest epoch's catalog: every Open falls back to the
-  // older root slot.
+  // Bit rot in the catalog leaf the newest epoch wrote (its objects have
+  // the highest oids): every Open falls back to the older root slot.
   storage::CommitManager manager(&disk);
   auto newest = manager.RecoverRoot();
-  if (!newest.ok() || newest->catalog_tracks.empty() ||
-      !disk.CorruptTrack(newest->catalog_tracks[0], 0, 0xFF).ok()) {
+  if (!newest.ok() || newest->pages.empty() ||
+      !disk.CorruptTrack(newest->pages.back().tracks[0], 0, 0xFF).ok()) {
     state.SkipWithError("setup failed");
     return;
   }

@@ -21,6 +21,13 @@ void AssociationTable::Bind(TxnTime time, Value value) {
   }
 }
 
+void AssociationTable::StampProvisional(TxnTime time) {
+  if (entries_.empty() || entries_.back().time != kTimeNow) return;
+  Value value = std::move(entries_.back().value);
+  entries_.pop_back();
+  Bind(time, std::move(value));
+}
+
 std::size_t AssociationTable::CountTruncatableBelow(TxnTime boundary) const {
   auto it = std::upper_bound(
       entries_.begin(), entries_.end(), boundary,

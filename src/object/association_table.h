@@ -36,6 +36,11 @@ class AssociationTable {
   /// in arbitrary track order).
   void Bind(TxnTime time, Value value);
 
+  void Reserve(std::size_t n) { entries_.reserve(n); }
+
+  /// Re-binds a provisional (kTimeNow) binding at `time`.
+  void StampProvisional(TxnTime time);
+
   /// The value visible at `time`, or nullptr if the element had no binding
   /// yet. Note a deleted element returns a pointer to a nil Value, which
   /// is distinct from "never bound".

@@ -68,6 +68,11 @@ std::size_t GsObject::IndexedSizeAt(TxnTime time) const {
   return static_cast<std::size_t>(it - indexed_.begin());
 }
 
+void GsObject::StampProvisional(TxnTime time) {
+  for (NamedElement& element : named_) element.table.StampProvisional(time);
+  for (AssociationTable& table : indexed_) table.StampProvisional(time);
+}
+
 std::size_t GsObject::CountTruncatableBelow(TxnTime boundary) const {
   std::size_t count = 0;
   for (const NamedElement& element : named_) {

@@ -88,6 +88,20 @@ class GsObject {
     return index < indexed_.size() ? &indexed_[index] : nullptr;
   }
 
+  /// Adds a whole element's history at once — how a stored image is read
+  /// back. `name` must not be bound yet; an indexed table becomes the next
+  /// slot.
+  void AdoptNamed(SymbolId name, AssociationTable table) {
+    named_.push_back(NamedElement{name, std::move(table)});
+  }
+  void AdoptIndexed(AssociationTable table) {
+    indexed_.push_back(std::move(table));
+  }
+
+  /// Re-binds every provisional (kTimeNow) binding at `time` — how a
+  /// created object's workspace copy takes its commit time.
+  void StampProvisional(TxnTime time);
+
   // --- History tiering ------------------------------------------------------
 
   /// Largest demotion boundary applied to this object: every binding at a

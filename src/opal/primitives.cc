@@ -940,7 +940,8 @@ Result<Value> PrimSysCommit(Interpreter& interp, const Value&,
 Result<Value> PrimSysAbort(Interpreter& interp, const Value&,
                            std::vector<Value>&) {
   GS_RETURN_IF_ERROR(interp.session().Abort());
-  return interp.session().Begin();
+  GS_RETURN_IF_ERROR(interp.session().Begin());
+  return Value::Boolean(true);
 }
 
 Result<Value> PrimSysNow(Interpreter& interp, const Value&,

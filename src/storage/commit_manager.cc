@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "storage/serializer.h"
 #include "telemetry/trace.h"
 
 namespace gemstone::storage {
@@ -11,19 +10,94 @@ namespace {
 constexpr std::uint32_t kRootMagic = 0x47535254;  // "GSRT"
 }  // namespace
 
-Status CommitManager::WriteRoot(const RootState& root) {
+void CommitManager::EncodeRef(const PageRef& ref, ByteWriter* out) {
+  out->PutU64(ref.key);
+  out->PutU32(ref.byte_len);
+  out->PutU64(ref.checksum);
+  out->PutU32(static_cast<std::uint32_t>(ref.tracks.size()));
+  for (TrackId t : ref.tracks) out->PutU32(t);
+}
+
+Result<PageRef> CommitManager::DecodeRef(ByteReader* in) {
+  PageRef ref;
+  GS_ASSIGN_OR_RETURN(ref.key, in->GetU64());
+  GS_ASSIGN_OR_RETURN(ref.byte_len, in->GetU32());
+  GS_ASSIGN_OR_RETURN(ref.checksum, in->GetU64());
+  GS_ASSIGN_OR_RETURN(std::uint32_t ntracks, in->GetU32());
+  if (ntracks > in->remaining() / 4) {
+    return Status::Corruption("page reference overruns its parent");
+  }
+  ref.tracks.reserve(ntracks);
+  for (std::uint32_t i = 0; i < ntracks; ++i) {
+    GS_ASSIGN_OR_RETURN(TrackId t, in->GetU32());
+    ref.tracks.push_back(t);
+  }
+  return ref;
+}
+
+std::vector<std::uint8_t> CommitManager::EncodeRoot(
+    const RootState& root) const {
   ByteWriter out;
   out.PutU32(kRootMagic);
   out.PutU64(root.epoch);
-  out.PutU32(root.catalog_len);
-  out.PutU64(root.catalog_checksum);
-  out.PutU32(static_cast<std::uint32_t>(root.catalog_tracks.size()));
-  for (TrackId t : root.catalog_tracks) out.PutU32(t);
+  out.PutU8(root.depth);
+  out.PutU32(static_cast<std::uint32_t>(root.pages.size()));
+  for (const PageRef& ref : root.pages) EncodeRef(ref, &out);
   const std::uint64_t checksum = Fnv1a(out.bytes());
   out.PutU64(checksum);
-  const TrackId slot =
-      (root.epoch % 2 == 0) ? kRootSlotA : kRootSlotB;
-  return disk_->WriteTrack(slot, out.Take());
+  return out.Take();
+}
+
+std::size_t CommitManager::TracksFor(std::size_t bytes) const {
+  const std::size_t cap = disk_->track_capacity();
+  return (bytes + cap - 1) / cap;
+}
+
+void CommitManager::Chunk(std::span<const std::uint8_t> bytes,
+                          const std::vector<TrackId>& tracks,
+                          TrackWrites* group) const {
+  const std::size_t cap = disk_->track_capacity();
+  for (std::size_t i = 0; i < tracks.size(); ++i) {
+    const std::size_t begin = std::min(bytes.size(), i * cap);
+    const std::size_t end = std::min(bytes.size(), begin + cap);
+    group->emplace_back(tracks[i],
+                        std::vector<std::uint8_t>(bytes.begin() + begin,
+                                                  bytes.begin() + end));
+  }
+}
+
+PageRef CommitManager::StagePage(std::uint64_t key,
+                                 std::vector<std::uint8_t> bytes,
+                                 std::vector<TrackId> tracks,
+                                 TrackWrites* group) const {
+  PageRef ref;
+  ref.key = key;
+  ref.byte_len = static_cast<std::uint32_t>(bytes.size());
+  ref.checksum = Fnv1a(std::span<const std::uint8_t>(bytes));
+  if (tracks.size() == 1) {
+    group->emplace_back(tracks[0], std::move(bytes));
+  } else {
+    Chunk(bytes, tracks, group);
+  }
+  ref.tracks = std::move(tracks);
+  return ref;
+}
+
+Result<std::vector<std::uint8_t>> CommitManager::ReadPage(
+    const PageRef& ref) const {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(ref.byte_len);
+  for (TrackId t : ref.tracks) {
+    GS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> track, disk_->ReadTrack(t));
+    bytes.insert(bytes.end(), track.begin(), track.end());
+  }
+  if (bytes.size() != ref.byte_len) {
+    return Status::Corruption("catalog page length differs from its parent");
+  }
+  if (Fnv1a(std::span<const std::uint8_t>(bytes)) != ref.checksum) {
+    return Status::Corruption("catalog page checksum mismatch");
+  }
+  return bytes;
 }
 
 Status CommitManager::Format() {
@@ -33,10 +107,9 @@ Status CommitManager::Format() {
   // slot A, preserving the even/odd slot alternation.
   RootState empty;
   empty.epoch = 0;
-  GS_RETURN_IF_ERROR(WriteRoot(empty));
-  RootState second = empty;
-  second.epoch = 1;
-  return WriteRoot(second);
+  GS_RETURN_IF_ERROR(disk_->WriteTrack(kRootSlotA, EncodeRoot(empty)));
+  empty.epoch = 1;
+  return disk_->WriteTrack(kRootSlotB, EncodeRoot(empty));
 }
 
 Result<RootState> CommitManager::RecoverRoot() const {
@@ -61,29 +134,24 @@ std::vector<RootState> CommitManager::RecoverRootCandidates() const {
     auto stored = tail.GetU64();
     if (!stored.ok() || Fnv1a(body) != stored.value()) continue;
 
-    ByteReader in(body);
-    auto magic = in.GetU32();
-    if (!magic.ok() || magic.value() != kRootMagic) continue;
-    RootState root;
-    auto epoch = in.GetU64();
-    auto len = in.GetU32();
-    auto csum = in.GetU64();
-    auto ntracks = in.GetU32();
-    if (!epoch.ok() || !len.ok() || !csum.ok() || !ntracks.ok()) continue;
-    root.epoch = epoch.value();
-    root.catalog_len = len.value();
-    root.catalog_checksum = csum.value();
-    bool ok = true;
-    for (std::uint32_t i = 0; i < ntracks.value(); ++i) {
-      auto t = in.GetU32();
-      if (!t.ok()) {
-        ok = false;
-        break;
+    auto decoded = [&]() -> Result<RootState> {
+      ByteReader in(body);
+      GS_ASSIGN_OR_RETURN(std::uint32_t magic, in.GetU32());
+      if (magic != kRootMagic) return Status::Corruption("root magic");
+      RootState root;
+      GS_ASSIGN_OR_RETURN(root.epoch, in.GetU64());
+      GS_ASSIGN_OR_RETURN(root.depth, in.GetU8());
+      GS_ASSIGN_OR_RETURN(std::uint32_t count, in.GetU32());
+      for (std::uint32_t i = 0; i < count; ++i) {
+        GS_ASSIGN_OR_RETURN(PageRef ref, DecodeRef(&in));
+        root.pages.push_back(std::move(ref));
       }
-      root.catalog_tracks.push_back(t.value());
-    }
-    if (!ok || in.remaining() != 0) continue;
-    candidates.push_back(std::move(root));
+      if (in.remaining() != 0 || root.depth < 1 || root.depth > 2) {
+        return Status::Corruption("malformed root");
+      }
+      return root;
+    }();
+    if (decoded.ok()) candidates.push_back(std::move(decoded).value());
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const RootState& a, const RootState& b) {
@@ -92,68 +160,28 @@ std::vector<RootState> CommitManager::RecoverRootCandidates() const {
   return candidates;
 }
 
-Status CommitManager::CommitGroup(
-    const std::vector<std::pair<TrackId, std::vector<std::uint8_t>>>&
-        data_tracks,
-    const std::vector<TrackId>& catalog_tracks,
-    const std::vector<std::uint8_t>& catalog_bytes,
-    std::uint64_t next_epoch) {
-  const std::size_t chunk = disk_->track_capacity();
-  const std::size_t needed = (catalog_bytes.size() + chunk - 1) / chunk;
+Status CommitManager::CommitGroup(TrackWrites group, const RootState& root) {
   // Validate before any track is written: a doomed commit performs zero
   // I/O, so nothing needs undoing.
-  if (needed > catalog_tracks.size()) {
-    return Status::InvalidArgument("catalog does not fit allotted tracks");
+  std::vector<std::uint8_t> root_bytes = EncodeRoot(root);
+  if (root_bytes.size() > disk_->track_capacity()) {
+    return Status::InvalidArgument("catalog root does not fit one track");
   }
   {
     TELEM_SPAN("commit.write_group");
-    // Phase 1: shadow writes of the data group. A failure here leaves the
-    // previous root pointing exclusively at old tracks.
-    for (const auto& [track, bytes] : data_tracks) {
-      GS_RETURN_IF_ERROR(disk_->WriteTrack(track, bytes));
-    }
-    // Phase 2: the catalog stream, chunked by track capacity.
-    for (std::size_t i = 0; i < needed; ++i) {
-      const std::size_t begin = i * chunk;
-      const std::size_t end =
-          std::min(catalog_bytes.size(), begin + chunk);
-      GS_RETURN_IF_ERROR(disk_->WriteTrack(
-          catalog_tracks[i],
-          std::vector<std::uint8_t>(catalog_bytes.begin() + begin,
-                                    catalog_bytes.begin() + end)));
+    // Phase 1: shadow writes of the group — data tracks and catalog
+    // pages. A failure here leaves the previous root pointing exclusively
+    // at old tracks.
+    for (auto& [track, bytes] : group) {
+      GS_RETURN_IF_ERROR(disk_->WriteTrack(track, std::move(bytes)));
     }
   }
-  // Phase 3: the atomicity point — one root-track write.
+  // Phase 2: the atomicity point — one root-track write.
   TELEM_SPAN("commit.flip_root");
-  RootState root;
-  root.epoch = next_epoch;
-  root.catalog_len = static_cast<std::uint32_t>(catalog_bytes.size());
-  root.catalog_checksum =
-      Fnv1a(std::span<const std::uint8_t>(catalog_bytes));
-  root.catalog_tracks.assign(catalog_tracks.begin(),
-                             catalog_tracks.begin() +
-                                 static_cast<std::ptrdiff_t>(needed));
-  GS_RETURN_IF_ERROR(WriteRoot(root));
+  const TrackId slot = (root.epoch % 2 == 0) ? kRootSlotA : kRootSlotB;
+  GS_RETURN_IF_ERROR(disk_->WriteTrack(slot, std::move(root_bytes)));
   ++commits_;
   return Status::OK();
-}
-
-Result<std::vector<std::uint8_t>> CommitManager::ReadCatalogBytes(
-    const RootState& root) const {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(root.catalog_len);
-  for (TrackId t : root.catalog_tracks) {
-    GS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> track, disk_->ReadTrack(t));
-    bytes.insert(bytes.end(), track.begin(), track.end());
-  }
-  if (bytes.size() < root.catalog_len) {
-    return Status::Corruption("catalog stream shorter than root records");
-  }
-  bytes.resize(root.catalog_len);
-  if (Fnv1a(std::span<const std::uint8_t>(bytes)) != root.catalog_checksum) {
-    return Status::Corruption("catalog checksum mismatch");
-  }
-  return bytes;
 }
 
 }  // namespace gemstone::storage

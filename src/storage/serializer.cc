@@ -1,5 +1,6 @@
 #include "storage/serializer.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -26,6 +27,10 @@ void ByteWriter::PutU32(std::uint32_t v) {
 
 void ByteWriter::PutU64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xFF);
+}
+
+void ByteWriter::PatchU32(std::size_t pos, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) buf_[pos + i] = (v >> (8 * i)) & 0xFF;
 }
 
 void ByteWriter::PutF64(double v) {
@@ -166,17 +171,23 @@ Result<Value> ReadValue(ByteReader* in, SymbolTable* symbols) {
 namespace {
 
 void WriteTable(const AssociationTable& table, const SymbolTable& symbols,
-                ByteWriter* out) {
-  out->PutU32(static_cast<std::uint32_t>(table.history_size()));
+                const Value* appended, TxnTime time, ByteWriter* out) {
+  out->PutU32(static_cast<std::uint32_t>(table.history_size() +
+                                         (appended != nullptr ? 1 : 0)));
   for (const Association& a : table.entries()) {
     out->PutU64(a.time);
     WriteValue(a.value, symbols, out);
+  }
+  if (appended != nullptr) {
+    out->PutU64(time);
+    WriteValue(*appended, symbols, out);
   }
 }
 
 Status ReadTable(ByteReader* in, SymbolTable* symbols,
                  AssociationTable* table) {
   GS_ASSIGN_OR_RETURN(std::uint32_t count, in->GetU32());
+  table->Reserve(std::min<std::size_t>(count, in->remaining() / 9));
   for (std::uint32_t i = 0; i < count; ++i) {
     GS_ASSIGN_OR_RETURN(TxnTime time, in->GetU64());
     GS_ASSIGN_OR_RETURN(Value value, ReadValue(in, symbols));
@@ -187,25 +198,70 @@ Status ReadTable(ByteReader* in, SymbolTable* symbols,
 
 }  // namespace
 
+// The appended bindings follow GsObject::WriteNamed / WriteIndexed: a new
+// name becomes a new trailing element; an index past the end grows the
+// object, with skipped slots bound to nil at the same time.
+void AppendObjectImage(const ObjectImage& image, const SymbolTable& symbols,
+                       ByteWriter* out) {
+  const GsObject& object = *image.object;
+  const std::size_t start = out->size();
+  auto appended_named = [&](SymbolId name) -> const Value* {
+    for (const auto& [n, v] : image.named) {
+      if (n == name) return &v;
+    }
+    return nullptr;
+  };
+  std::vector<const std::pair<SymbolId, Value>*> new_names;
+  for (const auto& binding : image.named) {
+    if (!object.HasNamed(binding.first)) new_names.push_back(&binding);
+  }
+  out->PutU32(kObjectMagic);
+  out->PutU64(object.oid().raw);
+  out->PutU64(object.class_oid().raw);
+  out->PutU64(object.history_floor());
+  out->PutU32(static_cast<std::uint32_t>(object.named_elements().size() +
+                                         new_names.size()));
+  for (const NamedElement& element : object.named_elements()) {
+    out->PutString(symbols.Name(element.name));
+    out->PutU8(symbols.IsAlias(element.name) ? 1 : 0);
+    WriteTable(element.table, symbols, appended_named(element.name),
+               image.time, out);
+  }
+  for (const auto* binding : new_names) {
+    out->PutString(symbols.Name(binding->first));
+    out->PutU8(symbols.IsAlias(binding->first) ? 1 : 0);
+    WriteTable(AssociationTable(), symbols, &binding->second, image.time,
+               out);
+  }
+  const std::size_t capacity =
+      image.indexed.empty()
+          ? object.indexed_capacity()
+          : std::max(object.indexed_capacity(),
+                     image.indexed.back().first + 1);
+  const Value nil = Value::Nil();
+  auto next = image.indexed.begin();
+  out->PutU32(static_cast<std::uint32_t>(capacity));
+  for (std::size_t i = 0; i < capacity; ++i) {
+    const Value* appended = nullptr;
+    if (next != image.indexed.end() && next->first == i) {
+      appended = &next->second;
+      ++next;
+    } else if (i >= object.indexed_capacity()) {
+      appended = &nil;
+    }
+    const AssociationTable* table = object.IndexedHistory(i);
+    WriteTable(table != nullptr ? *table : AssociationTable(), symbols,
+               appended, image.time, out);
+  }
+  const std::uint64_t checksum =
+      Fnv1a(std::span<const std::uint8_t>(out->bytes()).subspan(start));
+  out->PutU64(checksum);
+}
+
 std::vector<std::uint8_t> SerializeObject(const GsObject& object,
                                           const SymbolTable& symbols) {
   ByteWriter out;
-  out.PutU32(kObjectMagic);
-  out.PutU64(object.oid().raw);
-  out.PutU64(object.class_oid().raw);
-  out.PutU64(object.history_floor());
-  out.PutU32(static_cast<std::uint32_t>(object.named_elements().size()));
-  for (const NamedElement& element : object.named_elements()) {
-    out.PutString(symbols.Name(element.name));
-    out.PutU8(symbols.IsAlias(element.name) ? 1 : 0);
-    WriteTable(element.table, symbols, &out);
-  }
-  out.PutU32(static_cast<std::uint32_t>(object.indexed_capacity()));
-  for (std::size_t i = 0; i < object.indexed_capacity(); ++i) {
-    WriteTable(*object.IndexedHistory(i), symbols, &out);
-  }
-  const std::uint64_t checksum = Fnv1a(out.bytes());
-  out.PutU64(checksum);
+  AppendObjectImage(ObjectImage(&object), symbols, &out);
   return out.Take();
 }
 
@@ -234,19 +290,18 @@ Result<GsObject> DeserializeObject(std::span<const std::uint8_t> bytes,
     GS_ASSIGN_OR_RETURN(std::uint8_t was_alias, in.GetU8());
     const SymbolId sym =
         was_alias != 0 ? symbols->InternAlias(name) : symbols->Intern(name);
+    if (object.HasNamed(sym)) {
+      return Status::Corruption("element named twice in object image");
+    }
     AssociationTable table;
     GS_RETURN_IF_ERROR(ReadTable(&in, symbols, &table));
-    for (const Association& a : table.entries()) {
-      object.WriteNamed(sym, a.time, a.value);
-    }
+    object.AdoptNamed(sym, std::move(table));
   }
   GS_ASSIGN_OR_RETURN(std::uint32_t num_indexed, in.GetU32());
   for (std::uint32_t i = 0; i < num_indexed; ++i) {
     AssociationTable table;
     GS_RETURN_IF_ERROR(ReadTable(&in, symbols, &table));
-    for (const Association& a : table.entries()) {
-      object.WriteIndexed(i, a.time, a.value);
-    }
+    object.AdoptIndexed(std::move(table));
   }
   if (in.remaining() != 0) {
     return Status::Corruption("trailing bytes after object image");

@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/result.h"
@@ -23,6 +24,12 @@ class ByteWriter {
   void PutF64(double v);
   void PutString(std::string_view s);
   void PutBytes(std::span<const std::uint8_t> bytes);
+
+  /// Overwrites the u32 at `pos` (a length written before it was known).
+  void PatchU32(std::size_t pos, std::uint32_t v);
+  void Reserve(std::size_t n) { buf_.reserve(n); }
+  /// Drops every byte from `n` on.
+  void Truncate(std::size_t n) { buf_.resize(n); }
 
   std::size_t size() const { return buf_.size(); }
   std::vector<std::uint8_t> Take() { return std::move(buf_); }
@@ -69,9 +76,27 @@ std::uint64_t Fnv1a(std::span<const std::uint8_t> bytes);
 void WriteValue(const Value& v, const SymbolTable& symbols, ByteWriter* out);
 Result<Value> ReadValue(ByteReader* in, SymbolTable* symbols);
 
-/// Serializes a full object — identity, class, and the complete
-/// association-table history of every element — with a trailing checksum.
-/// Symbol names are stored as text so images survive re-interning.
+/// An object as a commit persists it: `object` plus the bindings the
+/// commit appends at `time` — exactly what publishing those bindings will
+/// make of the object, serialized without building that object first.
+struct ObjectImage {
+  ObjectImage() = default;
+  explicit ObjectImage(const GsObject* object) : object(object) {}
+
+  const GsObject* object = nullptr;
+  TxnTime time = kTimeNow;
+  std::vector<std::pair<SymbolId, Value>> named;       // distinct names
+  std::vector<std::pair<std::size_t, Value>> indexed;  // ascending
+};
+
+/// Appends the serialized image — identity, class, and the complete
+/// association-table history of every element, then a trailing checksum —
+/// to `out`. Symbol names are stored as text so images survive
+/// re-interning.
+void AppendObjectImage(const ObjectImage& image, const SymbolTable& symbols,
+                       ByteWriter* out);
+
+/// The image of `object` as it stands.
 std::vector<std::uint8_t> SerializeObject(const GsObject& object,
                                           const SymbolTable& symbols);
 

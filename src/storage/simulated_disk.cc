@@ -87,7 +87,7 @@ Status SimulatedDisk::WriteTrack(TrackId track,
         tracks_written_.Increment();
         ++telemetry::ThreadIoTally().tracks_written;
         heatmap_.RecordWrite(track, telemetry::ThreadAccessIsHistorical());
-        tracks_[track] = std::move(data);
+        tracks_[track].assign(data.begin(), data.end());
         telemetry::FlightRecorder::Global().Record(
             telemetry::FlightEventKind::kStorageFault, 0, track, 0,
             "injected torn write");
@@ -106,7 +106,9 @@ Status SimulatedDisk::WriteTrack(TrackId track,
   tracks_written_.Increment();
   ++telemetry::ThreadIoTally().tracks_written;
   heatmap_.RecordWrite(track, telemetry::ThreadAccessIsHistorical());
-  tracks_[track] = std::move(data);
+  // Into the track's own storage, as onto a platter: the buffer a track
+  // keeps is allocated once, not swapped for every writer's.
+  tracks_[track].assign(data.begin(), data.end());
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_set>
 
 #include "storage/serializer.h"
 #include "telemetry/flight_recorder.h"
@@ -12,7 +13,6 @@ namespace gemstone::storage {
 StorageEngine::StorageEngine(SimulatedDisk* disk)
     : disk_(disk),
       commit_manager_(disk),
-      boxer_(disk->track_capacity()),
       telemetry_(telemetry::MetricsRegistry::Global().Register(
           [this](telemetry::SampleSink* sink) {
             sink->Counter("engine.commits", commits_.value());
@@ -46,57 +46,41 @@ Status StorageEngine::Open() {
   if (candidates.empty()) {
     return Status::Corruption("no valid root block on device");
   }
-  // Try the newest root first; when its catalog stream is unreadable
-  // (torn track, bit rot, read fault), fall back to the older slot — the
-  // reason the device keeps two. The fallback epoch is the pre-crash
-  // committed state, so recovering it is correct, never a hybrid.
-  Catalog catalog;
-  const RootState* adopted = nullptr;
+  // Try the newest root first; when one of its pages is unreadable (torn
+  // track, bit rot, read fault, or a track a later commit reused), fall
+  // back to the older slot — the reason the device keeps two. Every page
+  // is checked against the checksum its parent records, so the fallback
+  // adopts its own epoch's pages or nothing: never a hybrid.
   Status last_error = Status::OK();
+  const RootState* adopted = nullptr;
   for (const RootState& root : candidates) {
-    if (root.catalog_tracks.empty()) {
-      catalog = Catalog();
-      adopted = &root;
-      break;
-    }
-    auto bytes = commit_manager_.ReadCatalogBytes(root);
-    if (!bytes.ok()) {
+    auto loaded = Catalog::Load(commit_manager_, root);
+    if (!loaded.ok()) {
       recovery_fallbacks_.Increment();
       telemetry::FlightRecorder::Global().Record(
           telemetry::FlightEventKind::kRecoveryFallback, 0, root.epoch, 0,
-          bytes.status().message());
-      last_error = bytes.status();
+          loaded.status().message());
+      last_error = loaded.status();
       continue;
     }
-    auto parsed = Catalog::Deserialize(bytes.value());
-    if (!parsed.ok()) {
-      recovery_fallbacks_.Increment();
-      telemetry::FlightRecorder::Global().Record(
-          telemetry::FlightEventKind::kRecoveryFallback, 0, root.epoch, 0,
-          parsed.status().message());
-      last_error = parsed.status();
-      continue;
-    }
-    catalog = std::move(parsed).value();
+    catalog_ = std::move(loaded).value();
     adopted = &root;
     break;
   }
   if (adopted == nullptr) {
     return last_error;
   }
-  catalog_ = std::move(catalog);
   epoch_ = adopted->epoch;
-  catalog_tracks_ = adopted->catalog_tracks;
 
   std::set<TrackId> used = {CommitManager::kRootSlotA,
                             CommitManager::kRootSlotB};
-  for (TrackId t : catalog_tracks_) used.insert(t);
-  track_refs_.clear();
-  for (const auto& [oid, extent] : catalog_.entries()) {
-    for (TrackId t : extent.tracks) {
-      used.insert(t);
-      ++track_refs_[t];
+  for (const auto* pages : {&catalog_.leaves(), &catalog_.interiors()}) {
+    for (const auto& [key, ref] : *pages) {
+      used.insert(ref.tracks.begin(), ref.tracks.end());
     }
+  }
+  for (const auto& [oid, extent] : catalog_.entries()) {
+    used.insert(extent.tracks.begin(), extent.tracks.end());
   }
   free_tracks_.clear();
   for (TrackId t = 0; t < disk_->num_tracks(); ++t) {
@@ -125,104 +109,161 @@ Result<std::vector<TrackId>> StorageEngine::Allocate(std::size_t n) {
 }
 
 void StorageEngine::Release(const std::vector<TrackId>& tracks) {
-  for (TrackId t : tracks) free_tracks_.insert(t);
-}
-
-void StorageEngine::AddExtentRefs(const std::vector<TrackId>& tracks) {
-  for (TrackId t : tracks) ++track_refs_[t];
-}
-
-void StorageEngine::DropExtentRefs(const std::vector<TrackId>& tracks) {
-  for (TrackId t : tracks) {
-    auto it = track_refs_.find(t);
-    if (it == track_refs_.end()) continue;
-    if (--it->second == 0) {
-      track_refs_.erase(it);
-      free_tracks_.insert(t);
-    }
-  }
+  free_tracks_.insert(tracks.begin(), tracks.end());
 }
 
 Status StorageEngine::CommitObjects(
     const std::vector<const GsObject*>& objects, const SymbolTable& symbols) {
+  std::vector<ObjectImage> images;
+  images.reserve(objects.size());
+  for (const GsObject* object : objects) images.emplace_back(object);
+  return CommitImages(images, symbols);
+}
+
+Status StorageEngine::CommitImages(const std::vector<ObjectImage>& images,
+                                   const SymbolTable& symbols) {
   if (!open_) return Status::TransactionState("engine not open");
   TELEM_SPAN("engine.commit");
-  // 1. Serialize + 2. box into track payloads.
-  std::vector<Oid> oids;
-  std::vector<std::vector<std::uint8_t>> blobs;
-  oids.reserve(objects.size());
-  blobs.reserve(objects.size());
+  // 1. Box: serialize each image straight into the open track payload,
+  // then carry every live fragment of an unchanged neighbour off the
+  // tracks the superseded images vacate.
+  std::vector<Boxer::Written> written;
+  written.reserve(images.size());
+  std::vector<TrackId> vacated;
+  std::vector<Oid> carried;  // owners of the carried fragments, in order
   Boxing boxing;
   {
     TELEM_SPAN("commit.box");
-    for (const GsObject* object : objects) {
-      oids.push_back(object->oid());
-      blobs.push_back(SerializeObject(*object, symbols));
+    Boxer boxer(disk_->track_capacity());
+    std::unordered_set<std::uint64_t> writing;
+    for (const ObjectImage& image : images) {
+      const Oid oid = image.object->oid();
+      GS_ASSIGN_OR_RETURN(
+          Boxer::Written w, boxer.Add(oid, [&](ByteWriter* out) {
+            AppendObjectImage(image, symbols, out);
+          }));
+      written.push_back(w);
+      if (!writing.insert(oid.raw).second) {
+        return Status::InvalidArgument("object twice in one commit: " +
+                                       oid.ToString());
+      }
+      if (const Extent* old = catalog_.Find(oid)) {
+        vacated.insert(vacated.end(), old->tracks.begin(), old->tracks.end());
+      }
     }
-    GS_ASSIGN_OR_RETURN(boxing, boxer_.Pack(oids, blobs));
+    std::sort(vacated.begin(), vacated.end());
+    vacated.erase(std::unique(vacated.begin(), vacated.end()), vacated.end());
+    for (TrackId track : vacated) {
+      GS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> bytes,
+                          disk_->ReadTrack(track));
+      GS_RETURN_IF_ERROR(Boxer::ForEachFragment(
+          bytes, [&](const Boxer::FragmentView& fragment) -> Status {
+            if (writing.count(fragment.oid.raw) != 0) return Status::OK();
+            const Extent* owner = catalog_.Find(fragment.oid);
+            if (owner == nullptr ||
+                std::find(owner->tracks.begin(), owner->tracks.end(),
+                          track) == owner->tracks.end()) {
+              return Status::OK();  // not a live fragment
+            }
+            boxer.Carry(fragment);
+            carried.push_back(fragment.oid);
+            return Status::OK();
+          }));
+    }
+    boxing = boxer.Finish();
   }
-  // 3. Allocate shadow tracks for data + catalog.
+  // 2. Allocate shadow tracks for the data.
   GS_ASSIGN_OR_RETURN(std::vector<TrackId> data_tracks,
                       Allocate(boxing.payloads.size()));
-  // 4. Build the changed-extent list and link the next catalog.
-  Linker::LinkResult linked;
-  std::vector<std::uint8_t> catalog_bytes;
+  std::vector<TrackId> page_tracks;
+  auto release_all = [&] {
+    Release(data_tracks);
+    Release(page_tracks);
+  };
+  // 3. The changed extents, ascending by oid: the new images, and each
+  // carried neighbour with its vacated tracks swapped for fresh ones (its
+  // image, hence its checksum, is unchanged).
   std::vector<std::pair<Oid, Extent>> changed;
+  Linker::LinkResult linked;
   {
     TELEM_SPAN("commit.link");
-    changed.reserve(objects.size());
-    for (std::size_t i = 0; i < oids.size(); ++i) {
+    changed.reserve(images.size() + carried.size());
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const auto [first, end] = boxing.placements[i];
       Extent extent;
-      extent.byte_len = static_cast<std::uint32_t>(blobs[i].size());
-      extent.checksum = Fnv1a(std::span<const std::uint8_t>(blobs[i]));
-      for (std::size_t payload_index : boxing.placements[i]) {
-        extent.tracks.push_back(data_tracks[payload_index]);
-      }
-      changed.emplace_back(oids[i], std::move(extent));
+      extent.byte_len = written[i].byte_len;
+      extent.checksum = written[i].checksum;
+      extent.tracks.assign(data_tracks.begin() + first,
+                           data_tracks.begin() + end);
+      changed.emplace_back(images[i].object->oid(), std::move(extent));
     }
-    linked = Linker::Link(catalog_, changed);
-    catalog_bytes = linked.next.Serialize();
+    // A carried neighbour keeps its tracks that stay and gains the fresh
+    // ones its fragments landed on.
+    std::map<std::uint64_t, std::vector<TrackId>> moved;
+    for (std::size_t c = 0; c < carried.size(); ++c) {
+      std::vector<TrackId>& fresh = moved[carried[c].raw];
+      const TrackId t = data_tracks[boxing.placements[images.size() + c].first];
+      if (std::find(fresh.begin(), fresh.end(), t) == fresh.end()) {
+        fresh.push_back(t);
+      }
+    }
+    for (const auto& [raw, fresh] : moved) {
+      Extent extent = *catalog_.Find(Oid(raw));
+      std::erase_if(extent.tracks, [&](TrackId t) {
+        return std::binary_search(vacated.begin(), vacated.end(), t);
+      });
+      for (TrackId t : fresh) {
+        if (std::find(extent.tracks.begin(), extent.tracks.end(), t) ==
+            extent.tracks.end()) {
+          extent.tracks.push_back(t);
+        }
+      }
+      changed.emplace_back(Oid(raw), std::move(extent));
+    }
+    std::sort(changed.begin(), changed.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    auto link = Linker::Link(
+        catalog_, changed, commit_manager_,
+        [&](std::size_t n) -> Result<std::vector<TrackId>> {
+          GS_ASSIGN_OR_RETURN(std::vector<TrackId> tracks, Allocate(n));
+          page_tracks.insert(page_tracks.end(), tracks.begin(), tracks.end());
+          return tracks;
+        });
+    if (!link.ok()) {
+      release_all();
+      return link.status();
+    }
+    linked = std::move(link).value();
   }
-  const std::size_t cat_count =
-      (catalog_bytes.size() + disk_->track_capacity() - 1) /
-      disk_->track_capacity();
-  auto cat_alloc = Allocate(cat_count);
-  if (!cat_alloc.ok()) {
-    Release(data_tracks);
-    return cat_alloc.status();
-  }
-  const std::vector<TrackId> cat_tracks = std::move(cat_alloc).value();
+  linked.root.epoch = epoch_ + 1;
 
-  // 5. Safe group write.
-  std::vector<std::pair<TrackId, std::vector<std::uint8_t>>> group;
-  group.reserve(boxing.payloads.size());
-  std::uint64_t bytes_written = 0;
+  // 4. Safe group write: data tracks, then catalog pages, then the root.
+  TrackWrites group;
+  group.reserve(boxing.payloads.size() + linked.writes.size());
   for (std::size_t i = 0; i < boxing.payloads.size(); ++i) {
-    bytes_written += boxing.payloads[i].bytes.size();
-    group.emplace_back(data_tracks[i], std::move(boxing.payloads[i].bytes));
+    group.emplace_back(data_tracks[i], std::move(boxing.payloads[i]));
   }
-  Status commit_status = commit_manager_.CommitGroup(
-      group, cat_tracks, catalog_bytes, epoch_ + 1);
+  for (auto& write : linked.writes) group.push_back(std::move(write));
+  linked.writes.clear();
+  std::uint64_t bytes_written = 0;
+  for (const auto& [track, bytes] : group) bytes_written += bytes.size();
+  Status commit_status =
+      commit_manager_.CommitGroup(std::move(group), linked.root);
   if (!commit_status.ok()) {
-    Release(data_tracks);
-    Release(cat_tracks);
+    release_all();
     return commit_status;
   }
 
-  // 6. The group is durable: adopt the new catalog and recycle superseded
-  // track versions (object history lives inside the new images). Shared
-  // tracks free only when their last referencing extent is superseded.
-  for (const auto& [oid, extent] : changed) {
-    AddExtentRefs(extent.tracks);
-  }
-  DropExtentRefs(linked.superseded_tracks);
-  Release(catalog_tracks_);
-  catalog_tracks_ = cat_tracks;
-  catalog_ = std::move(linked.next);
+  // 5. The group is durable: adopt the new catalog pages and free what
+  // the new root no longer reaches — the vacated data tracks (every live
+  // fragment on them moved) and the superseded pages.
+  Release(vacated);
+  Release(linked.superseded);
+  Linker::Apply(&catalog_, changed, std::move(linked));
   ++epoch_;
   commits_.Increment();
-  objects_written_.Increment(objects.size());
-  bytes_written_.Increment(bytes_written + catalog_bytes.size());
+  objects_written_.Increment(images.size());
+  bytes_written_.Increment(bytes_written);
   free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.size()));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
   return Status::OK();
@@ -281,9 +322,8 @@ Result<std::vector<GsObject>> StorageEngine::LoadObjects(
   for (const auto& [track, members] : plan) {
     GS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> bytes,
                         disk_->ReadTrack(track));
-    // Accept fragments only for requests whose *live extent* includes
-    // this track (a shared track can still carry a neighbor's superseded
-    // fragments; those must not leak into its current image).
+    // Accept fragments only for the requested images (the track also
+    // carries its neighbours').
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> wanted;
     for (std::size_t i : members) wanted[oids[i].raw].push_back(i);
     // One sweep over the payload fills every co-located wanted image.

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "core/result.h"
@@ -29,11 +28,15 @@ struct EngineStats {
 /// The secondary-storage face of the Object Manager: orchestrates the
 /// Boxer, Linker and Commit Manager over a track-granular device (§6).
 ///
-/// Each commit shadows changed objects into fresh tracks, links them into
-/// a new catalog version, and flips the root atomically. A crash between
-/// any two track writes recovers to the previous epoch (verified by the
-/// failure-injection tests). Objects boxed together in one commit land on
-/// adjacent tracks, which is what gives clustered access its locality.
+/// Each commit shadows changed objects into fresh tracks, shadows the
+/// catalog pages their extents live on, and flips the root atomically. A
+/// crash between any two track writes recovers to the previous epoch
+/// (verified by the failure-injection tests). Objects boxed together in
+/// one commit land on adjacent tracks, which is what gives clustered
+/// access its locality. A commit also rewrites the tracks its superseded
+/// images vacate: the live fragments of their unchanged neighbours move
+/// into the commit's fresh tracks, so a shared track never outlives its
+/// last live fragment.
 ///
 /// Not internally synchronized: the TransactionManager serializes commits,
 /// and recovery happens before sessions start.
@@ -44,11 +47,11 @@ class StorageEngine {
   /// Initializes an empty store (destroys any previous contents).
   Status Format();
 
-  /// Recovers the newest valid root whose catalog stream reads back
-  /// intact — falling back to the older root slot (and counting
-  /// `engine.recovery_fallbacks`) when the newest one's catalog fails its
-  /// checksum — then rebuilds the free-track map from the catalog's
-  /// extents.
+  /// Recovers the newest valid root whose catalog pages read back intact
+  /// — falling back to the older root slot (and counting
+  /// `engine.recovery_fallbacks`) when one of the newest one's pages fails
+  /// the checksum its parent records — then rebuilds the free-track map
+  /// from the catalog's pages and extents.
   Status Open();
 
   bool is_open() const { return open_; }
@@ -62,6 +65,11 @@ class StorageEngine {
   /// argument order.
   Status CommitObjects(const std::vector<const GsObject*>& objects,
                        const SymbolTable& symbols);
+
+  /// CommitObjects for images a commit has yet to publish: each object is
+  /// persisted with its appended bindings (ObjectImage).
+  Status CommitImages(const std::vector<ObjectImage>& images,
+                      const SymbolTable& symbols);
 
   /// Reads one object back from its extent, verifying the image checksum.
   Result<GsObject> LoadObject(Oid oid, SymbolTable* symbols);
@@ -99,21 +107,13 @@ class StorageEngine {
   Result<std::vector<TrackId>> Allocate(std::size_t n);
   void Release(const std::vector<TrackId>& tracks);
 
-  /// Small objects cluster several extents onto one track, so a track is
-  /// reusable only when the *last* extent referencing it is superseded.
-  void AddExtentRefs(const std::vector<TrackId>& tracks);
-  void DropExtentRefs(const std::vector<TrackId>& tracks);
-
   SimulatedDisk* disk_;
   CommitManager commit_manager_;
-  Boxer boxer_;
 
   bool open_ = false;
   std::uint64_t epoch_ = 0;
   Catalog catalog_;
-  std::vector<TrackId> catalog_tracks_;
   std::set<TrackId> free_tracks_;
-  std::unordered_map<TrackId, std::uint32_t> track_refs_;
 
   telemetry::Counter commits_;
   telemetry::Counter objects_written_;

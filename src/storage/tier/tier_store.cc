@@ -22,21 +22,6 @@ std::uint64_t NowNs() {
           .count());
 }
 
-/// Chunks a run's byte stream across its allocated tracks, in order.
-std::vector<std::pair<TrackId, std::vector<std::uint8_t>>> ChunkToTracks(
-    const std::vector<std::uint8_t>& bytes,
-    const std::vector<TrackId>& tracks, std::size_t capacity) {
-  std::vector<std::pair<TrackId, std::vector<std::uint8_t>>> out;
-  out.reserve(tracks.size());
-  for (std::size_t i = 0; i < tracks.size(); ++i) {
-    const std::size_t begin = i * capacity;
-    const std::size_t end = std::min(bytes.size(), begin + capacity);
-    out.emplace_back(tracks[i], std::vector<std::uint8_t>(
-                                    bytes.begin() + begin, bytes.begin() + end));
-  }
-  return out;
-}
-
 /// Sorts and folds exact-duplicate bindings — the shape repeated
 /// demotions and level merges produce by design.
 void SortAndDedupe(std::vector<VersionRecord>* records) {
@@ -137,8 +122,8 @@ Status TierStore::Open() {
       const RootState& root = candidates[c];
       std::vector<RunState> runs;
       std::uint64_t catalog_next_id = 1;
-      if (!root.catalog_tracks.empty()) {
-        auto bytes = level.commits->ReadCatalogBytes(root);
+      if (!root.pages.empty()) {
+        auto bytes = ReadLevelCatalog(level, root);
         if (!bytes.ok()) {
           last_error = bytes.status();
           recovery_fallbacks_.Increment();
@@ -200,7 +185,8 @@ Status TierStore::Open() {
             "tier level fell back to older root");
       }
       level.epoch = root.epoch;
-      level.catalog_tracks = root.catalog_tracks;
+      level.catalog_tracks =
+          root.pages.empty() ? std::vector<TrackId>{} : root.pages[0].tracks;
       level.runs = std::move(runs);
       next_run_id_ = std::max(next_run_id_, catalog_next_id);
       RecomputeFreeLocked(level);
@@ -216,8 +202,8 @@ Status TierStore::Open() {
     // the fallback if the adopted slot's catalog track rots later —
     // exactly the engine's shadow-retention rule).
     for (const RootState& root : candidates) {
-      if (root.catalog_tracks.empty()) continue;
-      auto bytes = level.commits->ReadCatalogBytes(root);
+      if (root.pages.empty()) continue;
+      auto bytes = ReadLevelCatalog(level, root);
       if (!bytes.ok()) continue;
       std::uint64_t ignored = 0;
       auto parsed = DecodeLevelCatalog(bytes.value(), &ignored);
@@ -346,21 +332,31 @@ Result<std::vector<TierStore::RunState>> TierStore::DecodeLevelCatalog(
   return runs;
 }
 
-Status TierStore::FlipLevelLocked(
-    Level& level, std::vector<RunState> next_runs,
-    const std::vector<std::pair<TrackId, std::vector<std::uint8_t>>>&
-        data_tracks) {
-  const std::vector<std::uint8_t> catalog_bytes =
+Result<std::vector<std::uint8_t>> TierStore::ReadLevelCatalog(
+    const Level& level, const RootState& root) {
+  if (root.depth != 1 || root.pages.size() != 1) {
+    return Status::Corruption("tier level root names no single catalog page");
+  }
+  return level.commits->ReadPage(root.pages[0]);
+}
+
+Status TierStore::FlipLevelLocked(Level& level,
+                                  std::vector<RunState> next_runs,
+                                  TrackWrites group) {
+  std::vector<std::uint8_t> catalog_bytes =
       EncodeLevelCatalogLocked(next_runs);
-  const std::size_t cap = level.disk->track_capacity();
-  const std::size_t n_cat = (catalog_bytes.size() + cap - 1) / cap;
-  auto cat_tracks = AllocateLocked(level, n_cat);
+  auto cat_tracks =
+      AllocateLocked(level, level.commits->TracksFor(catalog_bytes.size()));
   if (!cat_tracks.ok()) {
     RecomputeFreeLocked(level);
     return cat_tracks.status();
   }
-  const Status st = level.commits->CommitGroup(
-      data_tracks, cat_tracks.value(), catalog_bytes, level.epoch + 1);
+  // The level catalog is the one page its root names.
+  RootState root;
+  root.epoch = level.epoch + 1;
+  root.pages.push_back(level.commits->StagePage(
+      0, std::move(catalog_bytes), std::move(cat_tracks).value(), &group));
+  const Status st = level.commits->CommitGroup(std::move(group), root);
   if (!st.ok()) {
     // Previous root still rules the device; drop the speculative
     // allocations so in-memory bookkeeping matches it again.
@@ -368,7 +364,7 @@ Status TierStore::FlipLevelLocked(
     return st;
   }
   ++level.epoch;
-  level.catalog_tracks = std::move(cat_tracks).value();
+  level.catalog_tracks = std::move(root.pages[0].tracks);
   level.runs = std::move(next_runs);
   RecomputeFreeLocked(level);
   SyncMirrorsLocked();
@@ -392,10 +388,9 @@ Status TierStore::AppendRunLocked(const std::vector<VersionRecord>& records) {
   SortAndDedupe(&sorted);
 
   Level& level = levels_.front();
-  const std::size_t cap = level.disk->track_capacity();
   const std::uint64_t id = next_run_id_++;
   EncodedRun encoded = EncodeRun(id, sorted, *symbols_);
-  const std::size_t n_data = (encoded.bytes.size() + cap - 1) / cap;
+  const std::size_t n_data = level.commits->TracksFor(encoded.bytes.size());
 
   // One forced merge downward when L1 is too full to shadow the new run
   // (data + a worst-case catalog rewrite).
@@ -427,9 +422,10 @@ Status TierStore::AppendRunLocked(const std::vector<VersionRecord>& records) {
 
   std::vector<RunState> next_runs = level.runs;
   next_runs.push_back(std::move(run));
-  GS_RETURN_IF_ERROR(FlipLevelLocked(
-      level, std::move(next_runs),
-      ChunkToTracks(encoded.bytes, data_tracks.value(), cap)));
+  TrackWrites group;
+  level.commits->Chunk(encoded.bytes, data_tracks.value(), &group);
+  GS_RETURN_IF_ERROR(
+      FlipLevelLocked(level, std::move(next_runs), std::move(group)));
   migrations_.Increment();
   records_demoted_.Increment(sorted.size());
   return Status::OK();
@@ -534,8 +530,7 @@ Status TierStore::CompactLevelLocked(std::size_t level_index, bool force) {
 
   Level& dst = deepest ? src : levels_[level_index + 1];
   if (deepest && src.runs.size() <= 1) return Status::OK();
-  const std::size_t cap = dst.disk->track_capacity();
-  const std::size_t n_data = (encoded.bytes.size() + cap - 1) / cap;
+  const std::size_t n_data = dst.commits->TracksFor(encoded.bytes.size());
   auto data_tracks = AllocateLocked(dst, n_data);
   if (!data_tracks.ok()) {
     RecomputeFreeLocked(dst);
@@ -546,9 +541,10 @@ Status TierStore::CompactLevelLocked(std::size_t level_index, bool force) {
   std::vector<RunState> dst_next = dst.runs;
   if (deepest) dst_next.clear();  // self-merge replaces the level wholesale
   dst_next.push_back(std::move(run));
-  GS_RETURN_IF_ERROR(FlipLevelLocked(
-      dst, std::move(dst_next),
-      ChunkToTracks(encoded.bytes, data_tracks.value(), cap)));
+  TrackWrites group;
+  dst.commits->Chunk(encoded.bytes, data_tracks.value(), &group);
+  GS_RETURN_IF_ERROR(
+      FlipLevelLocked(dst, std::move(dst_next), std::move(group)));
   if (!deepest) {
     // Destination is durable; empty the source. A crash (or fault) right
     // here leaves the same records on both levels — resolution takes the

@@ -167,10 +167,12 @@ class TierStore {
   static std::vector<Fence> BuildFences(const std::vector<VersionRecord>& recs,
                                         const std::vector<std::size_t>& offs);
 
+  /// Writes `group` (run data) and the level catalog, then flips the
+  /// level's root to name that catalog as its one page.
   Status FlipLevelLocked(Level& level, std::vector<RunState> next_runs,
-                         const std::vector<std::pair<TrackId,
-                             std::vector<std::uint8_t>>>& data_tracks)
-      GS_REQUIRES(mu_);
+                         TrackWrites group) GS_REQUIRES(mu_);
+  static Result<std::vector<std::uint8_t>> ReadLevelCatalog(
+      const Level& level, const RootState& root);
   Result<std::vector<TrackId>> AllocateLocked(Level& level, std::size_t n)
       GS_REQUIRES(mu_);
   /// Rebuilds the free set from the level's adopted runs + catalog — the

@@ -216,13 +216,17 @@ Status TransactionManager::Commit(Transaction* txn) {
     return status;
   };
 
-  // Stage phase: build each dirty object's post-commit image beside the
-  // store, re-stamping the provisional (kTimeNow) workspace bindings with
-  // the commit time.
+  // Stage phase: describe each dirty object's post-commit image without
+  // building it. A created object is its workspace copy, its provisional
+  // (kTimeNow) bindings re-stamped with the commit time in place (the
+  // copy is private, and discarded if the commit fails). An update is the
+  // permanent object plus one binding per dirty element at the commit
+  // time. Images are persisted in oid order, so objects committed together
+  // cluster by oid on the platter as in the catalog's leaves.
   struct Staged {
-    std::uint64_t raw;
-    GsObject image;
-    GsObject* permanent;  // destination; nullptr for a created object
+    storage::ObjectImage image;
+    GsObject* created = nullptr;    // workspace copy, moved in at publish
+    GsObject* permanent = nullptr;  // updated in place at publish
   };
   std::vector<Staged> staged;
   staged.reserve(txn->dirty_.size());
@@ -233,38 +237,28 @@ Status TransactionManager::Commit(Transaction* txn) {
       return abort_cleanly(
           Status::Internal("dirty object lacks a workspace copy"));
     }
-    const GsObject& copy = working_it->second;
+    GsObject& copy = working_it->second;
+    Staged s;
+    s.image.time = commit_time;
     if (txn->created_.count(raw) != 0) {
-      // New object: materialize with every provisional binding re-stamped.
       if (memory_->Find(oid) != nullptr) {
         return abort_cleanly(
             Status::Internal("created oid already in permanent store"));
       }
-      GsObject fresh(copy.oid(), copy.class_oid());
-      for (const NamedElement& element : copy.named_elements()) {
-        for (const Association& a : element.table.entries()) {
-          fresh.WriteNamed(element.name,
-                           a.time == kTimeNow ? commit_time : a.time,
-                           a.value);
-        }
-      }
-      for (std::size_t i = 0; i < copy.indexed_capacity(); ++i) {
-        for (const Association& a : copy.IndexedHistory(i)->entries()) {
-          fresh.WriteIndexed(i, a.time == kTimeNow ? commit_time : a.time,
-                             a.value);
-        }
-      }
-      staged.push_back({raw, std::move(fresh), nullptr});
+      copy.StampProvisional(commit_time);
+      s.image.object = &copy;
+      s.created = &copy;
     } else {
       GsObject* permanent = memory_->FindMutable(oid);
       if (permanent == nullptr) {
         return abort_cleanly(
             Status::Internal("dirty object vanished from permanent store"));
       }
-      GsObject image = *permanent;
+      s.image.object = permanent;
+      s.permanent = permanent;
       for (SymbolId name : marks.named) {
         const Value* v = copy.ReadNamed(name, kTimeNow);
-        image.WriteNamed(name, commit_time, v ? *v : Value::Nil());
+        s.image.named.emplace_back(name, v ? *v : Value::Nil());
       }
       // Ascending order so appends extend the image correctly.
       std::vector<std::size_t> indexed(marks.indexed.begin(),
@@ -272,21 +266,26 @@ Status TransactionManager::Commit(Transaction* txn) {
       std::sort(indexed.begin(), indexed.end());
       for (std::size_t index : indexed) {
         const Value* v = copy.ReadIndexed(index, kTimeNow);
-        image.WriteIndexed(index, commit_time, v ? *v : Value::Nil());
+        s.image.indexed.emplace_back(index, v ? *v : Value::Nil());
       }
-      staged.push_back({raw, std::move(image), permanent});
     }
+    staged.push_back(std::move(s));
   }
+  std::sort(staged.begin(), staged.end(),
+            [](const Staged& a, const Staged& b) {
+              return a.image.object->oid() < b.image.object->oid();
+            });
+
+  std::vector<storage::ObjectImage> images;
+  images.reserve(staged.size());
+  for (Staged& s : staged) images.push_back(std::move(s.image));
 
   // Persist phase: the safe group write (Boxer/Linker/CommitManager) makes
   // the staged images durable before any becomes visible. On failure the
   // disk still recovers to the previous root and memory is unchanged, so a
   // retry of the same writes sees no phantom conflicts.
   if (engine_ != nullptr) {
-    std::vector<const GsObject*> changed;
-    changed.reserve(staged.size());
-    for (const Staged& s : staged) changed.push_back(&s.image);
-    Status persisted = engine_->CommitObjects(changed, memory_->symbols());
+    Status persisted = engine_->CommitImages(images, memory_->symbols());
     if (!persisted.ok()) {
       // Abort (aborted_) before the cause counter: a stats() snapshot
       // that observes the storage failure has already observed the abort.
@@ -296,17 +295,25 @@ Status TransactionManager::Commit(Transaction* txn) {
     }
   }
 
-  // Publish phase: durability achieved; fold the staged images into the
-  // permanent store and advance the logical state. Nothing fallible left
-  // (ObjectMemory pointers are stable and created oids were verified
-  // absent under this same exclusive lock).
-  for (Staged& s : staged) {
-    if (s.permanent == nullptr) {
-      (void)memory_->Insert(std::move(s.image));
+  // Publish phase: durability achieved; move created objects into the
+  // permanent store, append the updates' bindings, and advance the
+  // logical state. Nothing fallible left (ObjectMemory pointers are stable
+  // and created oids were verified absent under this same exclusive lock).
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    storage::ObjectImage& image = images[i];
+    const std::uint64_t raw = image.object->oid().raw;
+    if (staged[i].created != nullptr) {
+      (void)memory_->Insert(std::move(*staged[i].created));
     } else {
-      *s.permanent = std::move(s.image);
+      for (auto& [name, value] : image.named) {
+        staged[i].permanent->WriteNamed(name, commit_time, std::move(value));
+      }
+      for (auto& [index, value] : image.indexed) {
+        staged[i].permanent->WriteIndexed(index, commit_time,
+                                          std::move(value));
+      }
     }
-    last_commit_[s.raw] = commit_time;
+    last_commit_[raw] = commit_time;
   }
   clock_.store(commit_time);
   txn->state_ = TxnState::kCommitted;

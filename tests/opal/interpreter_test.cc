@@ -307,6 +307,19 @@ TEST_F(OpalTest, TimeDialThroughSystem) {
   EXPECT_EQ(Eval("B!v"), Value::String("new"));
 }
 
+TEST_F(OpalTest, AbortTransactionDiscardsWorkAndAnswersTrue) {
+  Eval("Object subclass: 'Box' instVarNames: #('v')");
+  Eval("B := Box new. B!v := 'kept'. System commitTransaction");
+  Eval("B!v := 'dropped'");
+  EXPECT_EQ(Eval("B!v"), Value::String("dropped"));
+  EXPECT_EQ(Eval("System abortTransaction"), Value::Boolean(true));
+  EXPECT_EQ(Eval("B!v"), Value::String("kept"));
+  // The session is in a fresh transaction: new work commits.
+  Eval("B!v := 'next'");
+  EXPECT_EQ(Eval("System commitTransaction"), Value::Boolean(true));
+  EXPECT_EQ(Eval("B!v"), Value::String("next"));
+}
+
 TEST_F(OpalTest, SystemClockMessages) {
   Value t0 = Eval("System now");
   Eval("X := Object new. System commitTransaction");

@@ -15,13 +15,41 @@ std::vector<std::uint8_t> Blob(std::size_t n, std::uint8_t seed) {
   return out;
 }
 
+// Boxes `blobs` (owned by the parallel `oids`) in one batch.
+Result<Boxing> Pack(Boxer& boxer, const std::vector<Oid>& oids,
+                    const std::vector<std::vector<std::uint8_t>>& blobs) {
+  for (std::size_t i = 0; i < oids.size(); ++i) {
+    GS_ASSIGN_OR_RETURN(Boxer::Written written,
+                        boxer.Add(oids[i], [&](ByteWriter* out) {
+                          out->PutBytes(blobs[i]);
+                        }));
+    EXPECT_EQ(written.byte_len, blobs[i].size());
+    EXPECT_EQ(written.checksum,
+              Fnv1a(std::span<const std::uint8_t>(blobs[i])));
+  }
+  return boxer.Finish();
+}
+
+// Fragments in one payload.
+std::size_t FragmentCount(const std::vector<std::uint8_t>& payload) {
+  std::size_t count = 0;
+  EXPECT_TRUE(Boxer::ForEachFragment(payload,
+                                     [&](const Boxer::FragmentView&) {
+                                       ++count;
+                                       return Status::OK();
+                                     })
+                  .ok());
+  return count;
+}
+
 // Reassembles object `oid` of known size from a set of payloads.
-std::vector<std::uint8_t> Reassemble(const Boxing& boxing,
-                                     const std::vector<std::size_t>& placement,
-                                     Oid oid, std::size_t size) {
+std::vector<std::uint8_t> Reassemble(
+    const Boxing& boxing, std::pair<std::size_t, std::size_t> placement,
+    Oid oid, std::size_t size) {
   std::vector<std::uint8_t> image(size);
-  for (std::size_t payload : placement) {
-    auto placed = Boxer::ExtractFragments(boxing.payloads[payload].bytes, oid,
+  for (std::size_t payload = placement.first; payload < placement.second;
+       ++payload) {
+    auto placed = Boxer::ExtractFragments(boxing.payloads[payload], oid,
                                           std::span<std::uint8_t>(image));
     EXPECT_TRUE(placed.ok()) << placed.status().ToString();
   }
@@ -33,9 +61,9 @@ TEST(BoxerTest, SmallObjectsShareOneTrack) {
   std::vector<Oid> oids = {Oid(1), Oid(2), Oid(3)};
   std::vector<std::vector<std::uint8_t>> blobs = {Blob(100, 1), Blob(100, 2),
                                                   Blob(100, 3)};
-  auto boxing = boxer.Pack(oids, blobs).ValueOrDie();
+  auto boxing = Pack(boxer, oids, blobs).ValueOrDie();
   EXPECT_EQ(boxing.payloads.size(), 1u);  // clustering: one track, 3 objects
-  EXPECT_EQ(boxing.payloads[0].oids.size(), 3u);
+  EXPECT_EQ(FragmentCount(boxing.payloads[0]), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(Reassemble(boxing, boxing.placements[i], oids[i], 100),
               blobs[i]);
@@ -46,9 +74,10 @@ TEST(BoxerTest, LargeObjectSpansTracks) {
   Boxer boxer(256);
   std::vector<Oid> oids = {Oid(9)};
   std::vector<std::vector<std::uint8_t>> blobs = {Blob(1000, 7)};
-  auto boxing = boxer.Pack(oids, blobs).ValueOrDie();
+  auto boxing = Pack(boxer, oids, blobs).ValueOrDie();
   EXPECT_GE(boxing.payloads.size(), 4u);  // 1000 bytes across 256-byte tracks
-  EXPECT_EQ(boxing.placements[0].size(), boxing.payloads.size());
+  EXPECT_EQ(boxing.placements[0].second - boxing.placements[0].first,
+            boxing.payloads.size());
   EXPECT_EQ(Reassemble(boxing, boxing.placements[0], oids[0], 1000), blobs[0]);
 }
 
@@ -61,9 +90,9 @@ TEST(BoxerTest, PayloadsRespectCapacity) {
     oids.push_back(Oid(100 + i));
     blobs.push_back(Blob(37 * (i % 5) + 10, static_cast<std::uint8_t>(i)));
   }
-  auto boxing = boxer.Pack(oids, blobs).ValueOrDie();
-  for (const TrackPayload& p : boxing.payloads) {
-    EXPECT_LE(p.bytes.size(), capacity);
+  auto boxing = Pack(boxer, oids, blobs).ValueOrDie();
+  for (const auto& p : boxing.payloads) {
+    EXPECT_LE(p.size(), capacity);
   }
   for (std::size_t i = 0; i < oids.size(); ++i) {
     EXPECT_EQ(Reassemble(boxing, boxing.placements[i], oids[i],
@@ -77,7 +106,7 @@ TEST(BoxerTest, MixedSmallAndLarge) {
   std::vector<Oid> oids = {Oid(1), Oid(2), Oid(3)};
   std::vector<std::vector<std::uint8_t>> blobs = {Blob(20, 1), Blob(500, 2),
                                                   Blob(20, 3)};
-  auto boxing = boxer.Pack(oids, blobs).ValueOrDie();
+  auto boxing = Pack(boxer, oids, blobs).ValueOrDie();
   for (std::size_t i = 0; i < oids.size(); ++i) {
     EXPECT_EQ(Reassemble(boxing, boxing.placements[i], oids[i],
                          blobs[i].size()),
@@ -89,7 +118,7 @@ TEST(BoxerTest, TinyTrackCapacityRejected) {
   Boxer boxer(8);
   std::vector<Oid> oids = {Oid(1)};
   std::vector<std::vector<std::uint8_t>> blobs = {Blob(4, 1)};
-  EXPECT_EQ(boxer.Pack(oids, blobs).status().code(),
+  EXPECT_EQ(Pack(boxer, oids, blobs).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -97,9 +126,9 @@ TEST(BoxerTest, ExtractIgnoresOtherObjects) {
   Boxer boxer(1024);
   std::vector<Oid> oids = {Oid(1), Oid(2)};
   std::vector<std::vector<std::uint8_t>> blobs = {Blob(10, 1), Blob(10, 200)};
-  auto boxing = boxer.Pack(oids, blobs).ValueOrDie();
+  auto boxing = Pack(boxer, oids, blobs).ValueOrDie();
   std::vector<std::uint8_t> image(10, 0xAA);
-  auto placed = Boxer::ExtractFragments(boxing.payloads[0].bytes, Oid(99),
+  auto placed = Boxer::ExtractFragments(boxing.payloads[0], Oid(99),
                                         std::span<std::uint8_t>(image));
   ASSERT_TRUE(placed.ok());
   EXPECT_EQ(placed.value(), 0u);
@@ -131,9 +160,9 @@ TEST_P(BoxerSweep, RoundTripAtCapacity) {
     oids.push_back(Oid(1000 + seed));
     blobs.push_back(Blob(s, seed++));
   }
-  auto boxing = boxer.Pack(oids, blobs).ValueOrDie();
-  for (const TrackPayload& p : boxing.payloads) {
-    ASSERT_LE(p.bytes.size(), capacity);
+  auto boxing = Pack(boxer, oids, blobs).ValueOrDie();
+  for (const auto& p : boxing.payloads) {
+    ASSERT_LE(p.size(), capacity);
   }
   for (std::size_t i = 0; i < oids.size(); ++i) {
     EXPECT_EQ(Reassemble(boxing, boxing.placements[i], oids[i],

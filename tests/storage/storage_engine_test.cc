@@ -243,7 +243,7 @@ TEST_F(StorageEngineTest, FormatRecoversAtEpochOne) {
   auto root = manager.RecoverRoot();
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   EXPECT_EQ(root->epoch, 1u);
-  EXPECT_TRUE(root->catalog_tracks.empty());
+  EXPECT_TRUE(root->pages.empty());
   EXPECT_EQ(engine_.epoch(), 1u);
 
   GsObject emp = MakeEmployee(100, "Ellen", 24650, 1);
@@ -252,21 +252,27 @@ TEST_F(StorageEngineTest, FormatRecoversAtEpochOne) {
   EXPECT_EQ(manager.RecoverRoot()->epoch, 2u);
 }
 
-// A doomed commit must perform zero I/O: the catalog-fit check runs
-// before any track is written.
+// A doomed commit must perform zero I/O: the root-fit check runs before
+// any track is written.
 TEST_F(StorageEngineTest, OversizedCatalogCommitWritesNothing) {
   CommitManager manager(&disk_);
   const std::uint64_t written_before = disk_.stats().tracks_written;
-  std::vector<std::uint8_t> catalog(disk_.track_capacity() * 2, 7);
-  Status s = manager.CommitGroup({{5, {1, 2, 3}}}, /*catalog_tracks=*/{6},
-                                 catalog, /*next_epoch=*/2);
+  RootState root;
+  root.epoch = 2;
+  for (std::uint64_t key = 0; key * 24 <= disk_.track_capacity(); ++key) {
+    root.pages.push_back(PageRef{key, {6}, 1, 0});
+  }
+  TrackWrites group;
+  group.emplace_back(5, std::vector<std::uint8_t>{1, 2, 3});
+  Status s = manager.CommitGroup(std::move(group), root);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(disk_.stats().tracks_written, written_before);
   EXPECT_TRUE(disk_.ReadTrack(5).ValueOrDie().empty());
 }
 
-// The dual-root payoff: when the newest epoch's catalog stream fails its
-// checksum, Open falls back to the older valid root instead of failing.
+// The dual-root payoff: when a catalog leaf the newest root names fails
+// the checksum the root records, Open falls back to the older valid root
+// instead of failing.
 TEST_F(StorageEngineTest, OpenFallsBackWhenNewestCatalogCorrupt) {
   GsObject v1 = MakeEmployee(100, "Ellen", 24650, 1);
   ASSERT_TRUE(engine_.CommitObjects({&v1}, symbols_).ok());  // epoch 2
@@ -275,12 +281,12 @@ TEST_F(StorageEngineTest, OpenFallsBackWhenNewestCatalogCorrupt) {
   GsObject extra = MakeEmployee(101, "Robert", 24000, 5);
   ASSERT_TRUE(engine_.CommitObjects({&v2, &extra}, symbols_).ok());  // 3
 
-  // Bit rot inside epoch 3's catalog stream.
+  // Bit rot inside the leaf epoch 3 rewrote.
   CommitManager manager(&disk_);
   auto newest = manager.RecoverRoot().ValueOrDie();
   ASSERT_EQ(newest.epoch, 3u);
-  ASSERT_FALSE(newest.catalog_tracks.empty());
-  ASSERT_TRUE(disk_.CorruptTrack(newest.catalog_tracks[0], 0, 0xFF).ok());
+  ASSERT_FALSE(newest.pages.empty());
+  ASSERT_TRUE(disk_.CorruptTrack(newest.pages[0].tracks[0], 0, 0xFF).ok());
 
   StorageEngine recovered(&disk_);
   ASSERT_TRUE(recovered.Open().ok());
@@ -293,7 +299,7 @@ TEST_F(StorageEngineTest, OpenFallsBackWhenNewestCatalogCorrupt) {
   EXPECT_FALSE(recovered.Contains(Oid(101)));
 }
 
-// Same fallback when the newest catalog track is unreadable outright.
+// Same fallback when the newest root's leaf is unreadable outright.
 TEST_F(StorageEngineTest, OpenFallsBackOnCatalogReadFault) {
   GsObject v1 = MakeEmployee(100, "Ellen", 24650, 1);
   ASSERT_TRUE(engine_.CommitObjects({&v1}, symbols_).ok());
@@ -303,8 +309,8 @@ TEST_F(StorageEngineTest, OpenFallsBackOnCatalogReadFault) {
 
   CommitManager manager(&disk_);
   auto newest = manager.RecoverRoot().ValueOrDie();
-  ASSERT_FALSE(newest.catalog_tracks.empty());
-  disk_.InjectReadFault(newest.catalog_tracks[0]);
+  ASSERT_FALSE(newest.pages.empty());
+  disk_.InjectReadFault(newest.pages[0].tracks[0]);
 
   StorageEngine recovered(&disk_);
   ASSERT_TRUE(recovered.Open().ok());
@@ -360,6 +366,221 @@ TEST_F(StorageEngineTest, ReadFaultSurfacesAsIoError) {
       engine_.LoadObjects({Oid(100)}, &symbols_).status().IsIoError());
   disk_.ClearFault();
   EXPECT_TRUE(engine_.LoadObject(Oid(100), &symbols_).ok());
+}
+
+// Tracks the catalog's pages occupy.
+std::size_t CatalogTracks(const StorageEngine& engine) {
+  std::size_t n = 0;
+  for (const auto* pages :
+       {&engine.catalog().leaves(), &engine.catalog().interiors()}) {
+    for (const auto& [key, ref] : *pages) n += ref.tracks.size();
+  }
+  return n;
+}
+
+// Regression: on gemstone_serve's default 2048-track device, updates of
+// distinct small objects once filled the device (each update pinned the
+// shared track its old image sat on). A commit now rewrites the tracks it
+// vacates, so live tracks stay proportional to live bytes.
+TEST_F(StorageEngineTest, UpdateChurnKeepsDefaultDeviceBounded) {
+  SimulatedDisk disk(2048, 8192);
+  StorageEngine engine(&disk);
+  ASSERT_TRUE(engine.Format().ok());
+  constexpr std::uint64_t kObjects = 2000;
+  const SymbolId v = symbols_.Intern("v");
+  std::vector<GsObject> objects;
+  std::vector<const GsObject*> group;
+  for (std::uint64_t i = 0; i < kObjects; ++i) {
+    objects.emplace_back(Oid(1000 + i), Oid(7));
+    objects.back().WriteNamed(v, 1, Value::Integer(static_cast<int>(i)));
+  }
+  for (const GsObject& o : objects) group.push_back(&o);
+  ASSERT_TRUE(engine.CommitObjects(group, symbols_).ok());
+
+  for (std::uint64_t c = 0; c < 20000; ++c) {
+    GsObject& object = objects[(c * 7919) % kObjects];
+    object.WriteNamed(v, 2 + c, Value::Integer(static_cast<int>(c)));
+    Status s = engine.CommitObjects({&object}, symbols_);
+    ASSERT_TRUE(s.ok()) << "commit " << c << ": " << s.ToString();
+  }
+  std::uint64_t live_bytes = 0;
+  for (const auto& [oid, extent] : engine.catalog().entries()) {
+    live_bytes += extent.byte_len;
+  }
+  const std::size_t live_tracks = disk.num_tracks() - engine.free_track_count();
+  EXPECT_LE(live_tracks,
+            2 * live_bytes / disk.track_capacity() + CatalogTracks(engine) + 2);
+
+  StorageEngine recovered(&disk);
+  ASSERT_TRUE(recovered.Open().ok());
+  SymbolTable fresh;
+  for (std::uint64_t i = 0; i < kObjects; i += 97) {
+    auto loaded = recovered.LoadObject(Oid(1000 + i), &fresh);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(*loaded->ReadNamed(fresh.Intern("v"), kTimeNow),
+              *objects[i].ReadNamed(v, kTimeNow));
+  }
+}
+
+// A neighbour carried off a vacated track keeps its image and checksum;
+// only the track in its extent changes.
+TEST_F(StorageEngineTest, RewriteCarriesNeighboursIntoFreshTrack) {
+  GsObject a = MakeEmployee(100, "Ellen", 1, 1);
+  GsObject b = MakeEmployee(101, "Robert", 2, 1);
+  ASSERT_TRUE(engine_.CommitObjects({&a, &b}, symbols_).ok());
+  const Extent before = *engine_.catalog().Find(Oid(101));
+  const TrackId old_track = before.tracks[0];
+
+  a.WriteNamed(symbols_.Intern("salary"), 2, Value::Integer(3));
+  ASSERT_TRUE(engine_.CommitObjects({&a}, symbols_).ok());
+  const Extent after = *engine_.catalog().Find(Oid(101));
+  EXPECT_EQ(after.checksum, before.checksum);
+  EXPECT_EQ(after.byte_len, before.byte_len);
+  EXPECT_NE(after.tracks, before.tracks);
+  EXPECT_EQ(after.tracks, engine_.catalog().Find(Oid(100))->tracks);
+  // The vacated track is free again.
+  const std::size_t free_before = engine_.free_track_count();
+  GsObject c = MakeEmployee(102, "Hugh", 3, 3);
+  ASSERT_TRUE(engine_.CommitObjects({&c}, symbols_).ok());
+  EXPECT_EQ(engine_.catalog().Find(Oid(102))->tracks[0], old_track)
+      << "lowest free track is the vacated one";
+  EXPECT_LT(engine_.free_track_count(), free_before);
+}
+
+// A one-object commit writes its data track, the leaf its extent lives
+// on, and the root — however many objects the catalog holds.
+TEST_F(StorageEngineTest, OneObjectCommitWritesConstantTracks) {
+  for (std::uint64_t count : {1000u, 20000u}) {
+    SimulatedDisk disk(16384, 8192);
+    StorageEngine engine(&disk);
+    ASSERT_TRUE(engine.Format().ok());
+    std::vector<GsObject> objects;
+    std::vector<const GsObject*> group;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      objects.push_back(MakeEmployee(1000 + i, "e", 1, 1));
+    }
+    for (const GsObject& o : objects) group.push_back(&o);
+    ASSERT_TRUE(engine.CommitObjects(group, symbols_).ok());
+    GsObject& target = objects[count / 2 + 5];
+    target.WriteNamed(symbols_.Intern("salary"), 2, Value::Integer(9));
+    const std::uint64_t before = disk.stats().tracks_written;
+    ASSERT_TRUE(engine.CommitObjects({&target}, symbols_).ok());
+    EXPECT_LE(disk.stats().tracks_written - before, 5u) << count;
+  }
+}
+
+// Dense oids on 1 KiB tracks: the leaf list outgrows the root track and
+// spills to an interior level.
+class SpilledCatalogTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kObjects = 4000;
+
+  static GsObject Item(std::uint64_t i, std::int64_t value, TxnTime t,
+                       SymbolTable* symbols) {
+    GsObject object{Oid(1000 + i), Oid(7)};
+    object.WriteNamed(symbols->Intern("v"), t, Value::Integer(value));
+    return object;
+  }
+
+  // Formats `disk` and commits every item with value = its index.
+  static void Build(SimulatedDisk* disk, SymbolTable* symbols) {
+    StorageEngine engine(disk);
+    ASSERT_TRUE(engine.Format().ok());
+    std::vector<GsObject> objects;
+    std::vector<const GsObject*> group;
+    for (std::uint64_t i = 0; i < kObjects; ++i) {
+      objects.push_back(Item(i, static_cast<std::int64_t>(i), 1, symbols));
+    }
+    for (const GsObject& o : objects) group.push_back(&o);
+    ASSERT_TRUE(engine.CommitObjects(group, *symbols).ok());
+    ASSERT_EQ(engine.catalog().depth(), 2);
+  }
+
+  static void ExpectValue(StorageEngine* engine, std::uint64_t i,
+                          std::int64_t value, const std::string& context) {
+    SymbolTable fresh;
+    auto loaded = engine->LoadObject(Oid(1000 + i), &fresh);
+    ASSERT_TRUE(loaded.ok()) << context << ": " << loaded.status().ToString();
+    EXPECT_EQ(*loaded->ReadNamed(fresh.Intern("v"), kTimeNow),
+              Value::Integer(value))
+        << context << " item " << i;
+  }
+};
+
+TEST_F(SpilledCatalogTest, DepthTwoTreeRoundTripsThroughOpen) {
+  SimulatedDisk disk(2048, 1024);
+  SymbolTable symbols;
+  Build(&disk, &symbols);
+  StorageEngine recovered(&disk);
+  ASSERT_TRUE(recovered.Open().ok());
+  EXPECT_EQ(recovered.catalog().depth(), 2);
+  EXPECT_FALSE(recovered.catalog().interiors().empty());
+  EXPECT_EQ(recovered.catalog().size(), kObjects);
+  for (std::uint64_t i = 0; i < kObjects; i += 37) {
+    ExpectValue(&recovered, i, static_cast<std::int64_t>(i), "reopened");
+  }
+  // An update through the reopened tree rewrites one leaf and the
+  // interior page above it, and survives another reopen.
+  GsObject update = Item(5, 500, 2, &symbols);
+  ASSERT_TRUE(recovered.CommitObjects({&update}, symbols).ok());
+  StorageEngine again(&disk);
+  ASSERT_TRUE(again.Open().ok());
+  ExpectValue(&again, 5, 500, "updated");
+  ExpectValue(&again, 6, 6, "neighbour");
+}
+
+// The crash matrix for a commit that dirties two leaves and the spilled
+// interior level: at every write, clean failure or torn, recovery yields
+// exactly the old epoch or exactly the new one.
+TEST_F(SpilledCatalogTest, CrashAtEveryWriteOfSpilledCommit) {
+  const std::uint64_t first = 3, second = 3000;  // different leaves
+  auto commit = [&](StorageEngine* engine, SymbolTable* symbols) {
+    GsObject a = Item(first, 111, 2, symbols);
+    GsObject b = Item(second, 222, 2, symbols);
+    return engine->CommitObjects({&a, &b}, *symbols);
+  };
+  std::uint64_t writes = 0;
+  {
+    SimulatedDisk disk(2048, 1024);
+    SymbolTable symbols;
+    Build(&disk, &symbols);
+    StorageEngine engine(&disk);
+    ASSERT_TRUE(engine.Open().ok());
+    const std::uint64_t before = disk.stats().tracks_written;
+    ASSERT_TRUE(commit(&engine, &symbols).ok());
+    writes = disk.stats().tracks_written - before;
+  }
+  ASSERT_GE(writes, 4u);  // data, two leaves, the interior page, the root
+  for (bool tear : {false, true}) {
+    for (std::uint64_t crash_at = 0; crash_at <= writes; ++crash_at) {
+      SimulatedDisk disk(2048, 1024);
+      SymbolTable symbols;
+      Build(&disk, &symbols);
+      StorageEngine engine(&disk);
+      ASSERT_TRUE(engine.Open().ok());
+      const std::uint64_t old_epoch = engine.epoch();
+      if (tear) {
+        disk.InjectTornWriteAfter(crash_at, 10);
+      } else {
+        disk.InjectWriteFailureAfter(crash_at);
+      }
+      const bool committed = commit(&engine, &symbols).ok();
+      disk.ClearFault();
+      const std::string context = std::string(tear ? "tear" : "fail") +
+                                  " crash_at=" + std::to_string(crash_at);
+      EXPECT_EQ(committed, crash_at == writes) << context;
+
+      StorageEngine recovered(&disk);
+      ASSERT_TRUE(recovered.Open().ok()) << context;
+      EXPECT_EQ(recovered.epoch(), old_epoch + (committed ? 1 : 0))
+          << context;
+      EXPECT_EQ(recovered.catalog().size(), kObjects) << context;
+      ExpectValue(&recovered, first, committed ? 111 : 3, context);
+      ExpectValue(&recovered, second, committed ? 222 : 3000, context);
+      ExpectValue(&recovered, first + 1, 4, context);
+      ExpectValue(&recovered, second + 1, 3001, context);
+    }
+  }
 }
 
 }  // namespace
