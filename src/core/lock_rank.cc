@@ -13,6 +13,7 @@ std::string_view LockRankName(LockRank rank) {
     case LockRank::kNetExecutor: return "net.executor";
     case LockRank::kExecutorSessions: return "executor.sessions";
     case LockRank::kOpalGlobals: return "opal.globals";
+    case LockRank::kTxnCommit: return "txn.commit";
     case LockRank::kTxnStore: return "txn.store";
     case LockRank::kStorageTier: return "storage.tier";
     case LockRank::kClassRegistry: return "object.class_registry";

@@ -54,6 +54,9 @@ enum class LockRank : std::uint8_t {
   kExecutorSessions,   // executor::Executor::sessions_mu_
   kOpalGlobals,        // opal::GlobalEnv::mu_
   // -- Transaction & object layer -------------------------------------------
+  kTxnCommit,          // txn::TransactionManager::commit_mu_ (one writer
+                       // at a time through validate, stage, persist and
+                       // publish; takes store_mu_ beneath it)
   kTxnStore,           // txn::TransactionManager::store_mu_
   kStorageTier,        // storage::tier::TierStore::mu_ (level catalogs;
                        // taken from under store_mu_ by the time-dial

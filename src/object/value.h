@@ -14,7 +14,8 @@ namespace gemstone {
 /// Discriminates the immediate value kinds of the GemStone data model.
 ///
 /// Simple (immediate) values — nil, booleans, integers, floats, strings,
-/// symbols — are stored inline and compare by value; per §5.4 "STDM does
+/// symbols — are stored inline (a string as a shared immutable buffer)
+/// and compare by value; per §5.4 "STDM does
 /// not support entity identity, except for simple, nonchangeable values",
 /// so for these, value equality *is* identity. kRef is a reference to a
 /// full GsObject and carries only the Oid: equality of two kRef values is
@@ -54,7 +55,8 @@ class Value {
   }
   static Value Float(double d) { return Value(Repr(std::in_place_index<3>, d)); }
   static Value String(std::string s) {
-    return Value(Repr(std::in_place_index<4>, std::move(s)));
+    return Value(Repr(std::in_place_index<4>,
+                      std::make_shared<const std::string>(std::move(s))));
   }
   static Value Symbol(SymbolId id) {
     return Value(Repr(std::in_place_index<5>, id));
@@ -80,7 +82,7 @@ class Value {
   bool boolean() const { return std::get<1>(repr_); }
   std::int64_t integer() const { return std::get<2>(repr_); }
   double real() const { return std::get<3>(repr_); }
-  const std::string& string() const { return std::get<4>(repr_); }
+  const std::string& string() const { return *std::get<4>(repr_); }
   SymbolId symbol() const { return std::get<5>(repr_); }
   Oid ref() const { return std::get<6>(repr_); }
   const std::shared_ptr<RuntimeHandle>& handle() const {
@@ -99,6 +101,7 @@ class Value {
       if (a.IsInteger() && b.IsInteger()) return a.integer() == b.integer();
       return a.AsDouble() == b.AsDouble();
     }
+    if (a.IsString() && b.IsString()) return a.string() == b.string();
     return a.repr_ == b.repr_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
@@ -108,9 +111,12 @@ class Value {
   std::string ToString() const;
 
  private:
+  // Strings are shared and immutable, so a Value stays 24 bytes (every
+  // association in every history holds one) and copying one is a
+  // refcount bump; equality and hashing still go by content.
   using Repr = std::variant<std::monostate, bool, std::int64_t, double,
-                            std::string, SymbolId, Oid,
-                            std::shared_ptr<RuntimeHandle>>;
+                            std::shared_ptr<const std::string>, SymbolId,
+                            Oid, std::shared_ptr<RuntimeHandle>>;
   explicit Value(Repr repr) : repr_(std::move(repr)) {}
 
   Repr repr_;

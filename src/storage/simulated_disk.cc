@@ -68,6 +68,14 @@ Result<std::vector<std::uint8_t>> SimulatedDisk::ReadTrack(
 
 Status SimulatedDisk::WriteTrack(TrackId track,
                                  std::vector<std::uint8_t> data) {
+  if (write_gated_.load(std::memory_order_acquire)) {
+    std::function<void(TrackId)> gate;
+    {
+      MutexLock lock(mu_);
+      gate = write_gate_;
+    }
+    if (gate) gate(track);
+  }
   MutexLock lock(mu_);
   if (track >= num_tracks_) {
     return Status::OutOfRange("track " + std::to_string(track) +
@@ -136,6 +144,12 @@ void SimulatedDisk::ClearFault() {
   MutexLock lock(mu_);
   write_fault_ = WriteFault::kNone;
   read_faults_.clear();
+}
+
+void SimulatedDisk::SetWriteGate(std::function<void(TrackId)> gate) {
+  MutexLock lock(mu_);
+  write_gated_.store(gate != nullptr, std::memory_order_release);
+  write_gate_ = std::move(gate);
 }
 
 Status SimulatedDisk::CorruptTrack(TrackId track, std::size_t offset,

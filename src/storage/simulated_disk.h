@@ -1,7 +1,9 @@
 #ifndef GEMSTONE_STORAGE_SIMULATED_DISK_H_
 #define GEMSTONE_STORAGE_SIMULATED_DISK_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -80,6 +82,11 @@ class SimulatedDisk {
   /// Clears every injected fault (write failures, tears, read faults).
   void ClearFault();
 
+  /// Test hook: `gate` runs at the start of every track write, before the
+  /// device lock is taken, so a test can park a writer mid-commit while
+  /// other threads go on using the device. Null removes it.
+  void SetWriteGate(std::function<void(TrackId)> gate);
+
   /// XORs `mask` into the platter byte at `offset` of `track` — silent
   /// bit rot, detectable only by checksum. OutOfRange when the track or
   /// offset does not exist.
@@ -113,6 +120,8 @@ class SimulatedDisk {
   std::uint64_t writes_until_failure_ GS_GUARDED_BY(mu_) = 0;
   std::size_t tear_keep_bytes_ GS_GUARDED_BY(mu_) = 0;
   std::unordered_set<TrackId> read_faults_ GS_GUARDED_BY(mu_);
+  std::function<void(TrackId)> write_gate_ GS_GUARDED_BY(mu_);
+  std::atomic<bool> write_gated_{false};  // write_gate_ is set
 
   mutable TrackHeatmap heatmap_;
 

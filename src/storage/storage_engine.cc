@@ -122,6 +122,13 @@ Status StorageEngine::CommitObjects(
 
 Status StorageEngine::CommitImages(const std::vector<ObjectImage>& images,
                                    const SymbolTable& symbols) {
+  GS_ASSIGN_OR_RETURN(PersistedCommit persisted, Persist(images, symbols));
+  Adopt(std::move(persisted));
+  return Status::OK();
+}
+
+Result<StorageEngine::PersistedCommit> StorageEngine::Persist(
+    const std::vector<ObjectImage>& images, const SymbolTable& symbols) {
   if (!open_) return Status::TransactionState("engine not open");
   TELEM_SPAN("engine.commit");
   // 1. Box: serialize each image straight into the open track payload,
@@ -253,20 +260,23 @@ Status StorageEngine::CommitImages(const std::vector<ObjectImage>& images,
     release_all();
     return commit_status;
   }
+  return PersistedCommit{std::move(changed), std::move(linked),
+                         std::move(vacated), images.size(), bytes_written};
+}
 
-  // 5. The group is durable: adopt the new catalog pages and free what
-  // the new root no longer reaches — the vacated data tracks (every live
+void StorageEngine::Adopt(PersistedCommit persisted) {
+  // The group is durable: adopt the new catalog pages and free what the
+  // new root no longer reaches — the vacated data tracks (every live
   // fragment on them moved) and the superseded pages.
-  Release(vacated);
-  Release(linked.superseded);
-  Linker::Apply(&catalog_, changed, std::move(linked));
+  Release(persisted.vacated);
+  Release(persisted.linked.superseded);
+  Linker::Apply(&catalog_, persisted.changed, std::move(persisted.linked));
   ++epoch_;
   commits_.Increment();
-  objects_written_.Increment(images.size());
-  bytes_written_.Increment(bytes_written);
+  objects_written_.Increment(persisted.objects);
+  bytes_written_.Increment(persisted.bytes);
   free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.size()));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
-  return Status::OK();
 }
 
 Result<GsObject> StorageEngine::LoadObject(Oid oid, SymbolTable* symbols) {

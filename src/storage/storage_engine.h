@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/result.h"
@@ -38,8 +39,18 @@ struct EngineStats {
 /// into the commit's fresh tracks, so a shared track never outlives its
 /// last live fragment.
 ///
-/// Not internally synchronized: the TransactionManager serializes commits,
-/// and recovery happens before sessions start.
+/// A commit is two steps. Persist boxes, links and writes the group and
+/// flips the root; it reads `catalog_` but never mutates it, so it runs
+/// beside readers that consult the catalog (NoteHistoricalObjectAccess,
+/// HistoricalHeatOf). Adopt folds the durable link into `catalog_` and
+/// frees the tracks the new root no longer reaches; it is the only step
+/// that mutates what those readers see. CommitImages does both, for
+/// callers that do not need the split.
+///
+/// Not internally synchronized. The TransactionManager serializes
+/// Persist/Adopt pairs under its commit pipeline lock and runs Adopt
+/// under its exclusive store lock, where no catalog reader runs; recovery
+/// happens before sessions start.
 class StorageEngine {
  public:
   explicit StorageEngine(SimulatedDisk* disk);
@@ -67,9 +78,32 @@ class StorageEngine {
                        const SymbolTable& symbols);
 
   /// CommitObjects for images a commit has yet to publish: each object is
-  /// persisted with its appended bindings (ObjectImage).
+  /// persisted with its appended bindings (ObjectImage). Persist, then
+  /// Adopt.
   Status CommitImages(const std::vector<ObjectImage>& images,
                       const SymbolTable& symbols);
+
+  /// A group whose root has flipped but which the engine has not adopted:
+  /// the new extents and catalog pages, and the tracks the new root drops.
+  struct PersistedCommit {
+    std::vector<std::pair<Oid, Extent>> changed;
+    Linker::LinkResult linked;
+    std::vector<TrackId> vacated;
+    std::uint64_t objects = 0;
+    std::uint64_t bytes = 0;
+  };
+
+  /// The first half of CommitImages: writes `images` as one safe group
+  /// and flips the root, leaving `catalog_` untouched. On failure the
+  /// tracks it took are free again and nothing else changed. Must be
+  /// followed by Adopt of its result before the next Persist.
+  Result<PersistedCommit> Persist(const std::vector<ObjectImage>& images,
+                                  const SymbolTable& symbols);
+
+  /// The second half: folds a persisted commit into `catalog_`, frees the
+  /// tracks its root no longer reaches, and advances the epoch. Cannot
+  /// fail.
+  void Adopt(PersistedCommit persisted);
 
   /// Reads one object back from its extent, verifying the image checksum.
   Result<GsObject> LoadObject(Oid oid, SymbolTable* symbols);
@@ -90,8 +124,8 @@ class StorageEngine {
   /// current/historical split stays honest for in-memory history walks —
   /// the compaction signal (ROADMAP item 4) wants where the *audit*
   /// traffic lands, not just where its cache misses land. No-op for
-  /// unknown oids. Caller holds whatever serializes catalog access (the
-  /// TransactionManager's store lock).
+  /// unknown oids. Caller holds whatever keeps Adopt out (the
+  /// TransactionManager's store lock, shared); Persist may run beside it.
   void NoteHistoricalObjectAccess(Oid oid);
 
   /// Decayed *historical-channel* heat summed over `oid`'s extent tracks —

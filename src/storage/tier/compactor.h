@@ -25,8 +25,8 @@ struct CompactorOptions {
   /// resident — the time dial still visits them (PR 9's heatmap split is
   /// exactly this signal).
   double max_historical_heat = 1.0;
-  /// Demotions per pass; bounds how long the txn store's writer lock is
-  /// taken per wakeup.
+  /// Demotions per pass; bounds how many commit-pipeline publishes a
+  /// wakeup makes.
   std::size_t max_objects_per_pass = 8;
 };
 

@@ -37,7 +37,10 @@ class Transaction {
   bool active() const { return state_ == TxnState::kActive; }
 
   std::size_t read_set_size() const { return read_set_.size(); }
-  std::size_t dirty_object_count() const { return dirty_.size(); }
+  /// Objects the transaction publishes at commit: written or created.
+  std::size_t dirty_object_count() const {
+    return dirty_.size() + created_.size();
+  }
   std::size_t created_count() const { return created_.size(); }
   /// Private copies still held; zero once the transaction finishes.
   std::size_t workspace_size() const { return working_.size(); }
@@ -45,7 +48,8 @@ class Transaction {
  private:
   friend class TransactionManager;
 
-  /// Per-object record of which elements this transaction wrote.
+  /// Per-object record of which elements this transaction wrote, for
+  /// permanent objects only: created objects publish whole.
   struct DirtyMarks {
     std::unordered_set<SymbolId> named;
     std::unordered_set<std::size_t> indexed;

@@ -18,6 +18,8 @@ TransactionManager::TransactionManager(ObjectMemory* memory,
       engine_(engine),
       commit_latency_us_(telemetry::MetricsRegistry::Global().GetHistogram(
           "txn.commit_latency_us")),
+      publish_hold_us_(telemetry::MetricsRegistry::Global().GetHistogram(
+          "txn.publish_hold_us")),
       telemetry_(telemetry::MetricsRegistry::Global().Register(
           [this](telemetry::SampleSink* sink) {
             sink->Counter("txn.begun", begun_.value());
@@ -55,7 +57,8 @@ void TransactionManager::NoteReadRecorded(const Transaction& txn) {
 
 std::unique_ptr<Transaction> TransactionManager::Begin(SessionId session,
                                                        UserId user) {
-  WriterMutexLock lock(store_mu_);
+  // No store lock: the clock is atomic and advances only after a publish
+  // has applied every binding stamped with it.
   begun_.Increment();
   auto txn = std::make_unique<Transaction>(session, clock_.load(), user);
   telemetry::FlightRecorder::Global().Record(
@@ -81,7 +84,7 @@ Status TransactionManager::CheckWriteAccess(const Transaction* txn,
 }
 
 Status TransactionManager::Abort(Transaction* txn) {
-  WriterMutexLock lock(store_mu_);
+  // Session-confined: the workspace is private, so no store lock.
   if (!txn->active()) {
     return Status::TransactionState("abort of a finished transaction");
   }
@@ -101,27 +104,42 @@ bool TransactionManager::HasConflictLocked(const Transaction& txn,
   return it != last_commit_.end() && it->second > txn.start_time();
 }
 
-Status TransactionManager::AbortConflictedLocked(Transaction* txn,
-                                                 std::uint64_t raw,
-                                                 const char* what) {
+std::optional<TransactionManager::Conflict>
+TransactionManager::FindConflictLocked(const Transaction& txn) const {
+  for (std::uint64_t raw : txn.read_set_) {
+    if (HasConflictLocked(txn, raw)) return Conflict{raw, "read"};
+  }
+  for (const auto& [raw, marks] : txn.dirty_) {
+    if (HasConflictLocked(txn, raw)) return Conflict{raw, "written"};
+  }
+  return std::nullopt;
+}
+
+Status TransactionManager::AbortConflicted(Transaction* txn,
+                                           Conflict conflict) {
+  const std::uint64_t raw = conflict.raw;
+  const char* what = conflict.what;
   // Counter order (aborted, then the cause with release) upholds the
   // TxnStats snapshot invariants.
   txn->state_ = TxnState::kAborted;
   txn->working_.clear();
   aborted_.Increment(1, std::memory_order_release);
   conflicts_.Increment(1, std::memory_order_release);
-  // Per-object contention evidence (ConflictHotspots); store_mu_ is held
-  // exclusively here.
-  auto hot = conflict_by_oid_.find(raw);
-  if (hot != conflict_by_oid_.end()) {
-    ++hot->second;
-  } else if (conflict_by_oid_.size() < kConflictHotspotCap) {
-    conflict_by_oid_.emplace(raw, 1);
-  } else {
-    static telemetry::Counter* dropped =
-        telemetry::MetricsRegistry::Global().GetCounter(
-            "txn.conflict_oids_dropped");
-    dropped->Increment();
+  {
+    // Per-object contention evidence (ConflictHotspots): the one piece of
+    // shared state a conflict mutates, and all it holds the lock for.
+    WriterMutexLock lock(store_mu_);
+    auto hot = conflict_by_oid_.find(raw);
+    if (hot != conflict_by_oid_.end()) {
+      ++hot->second;
+    } else if (conflict_by_oid_.size() < kConflictHotspotCap) {
+      conflict_by_oid_.emplace(raw, 1);
+    } else {
+      static telemetry::Counter* dropped =
+          telemetry::MetricsRegistry::Global().GetCounter(
+              "txn.conflict_oids_dropped");
+      dropped->Increment();
+    }
   }
   telemetry::FlightRecorder::Global().Record(
       telemetry::FlightEventKind::kTxnConflict, txn->session(), raw, 0,
@@ -164,45 +182,23 @@ Status TransactionManager::Commit(Transaction* txn) {
 
   // Read-only with a recorded read set: validation only compares
   // `last_commit_` stamps, so the shared lock suffices — concurrent
-  // readers and other read-only commits proceed, only writers exclude us.
-  // If a writer commits after we validate, we simply serialize before it.
+  // readers and other read-only commits proceed, only a publish excludes
+  // us. If a writer publishes after we validate, we serialize before it.
   if (txn->dirty_.empty() && txn->created_.empty()) {
-    bool conflict = false;
-    std::uint64_t conflicted = 0;
+    std::optional<Conflict> conflict;
     {
       ReaderMutexLock lock(store_mu_);
-      for (std::uint64_t raw : txn->read_set_) {
-        if (HasConflictLocked(*txn, raw)) {
-          conflict = true;
-          conflicted = raw;
-          break;
-        }
-      }
+      conflict = FindConflictLocked(*txn);
     }
-    if (!conflict) return release_read_only();
-    // Conflicts are the rare path: re-acquire exclusively for the abort
-    // bookkeeping (the hotspot tally mutates shared state).
-    WriterMutexLock lock(store_mu_);
-    return AbortConflictedLocked(txn, conflicted, "read");
+    if (!conflict.has_value()) return release_read_only();
+    return AbortConflicted(txn, *conflict);
   }
 
-  WriterMutexLock lock(store_mu_);
-
-  // Backward validation: any accessed object committed after our start is
-  // a conflict ("validates them for consistency when a transaction
-  // commits", §6).
-  for (std::uint64_t raw : txn->read_set_) {
-    if (HasConflictLocked(*txn, raw)) {
-      return AbortConflictedLocked(txn, raw, "read");
-    }
-  }
-  for (const auto& [raw, marks] : txn->dirty_) {
-    if (HasConflictLocked(*txn, raw)) {
-      return AbortConflictedLocked(txn, raw, "written");
-    }
-  }
-
-  const TxnTime commit_time = clock_.load() + 1;
+  // A writer: one at a time through the commit pipeline. `last_commit_`
+  // and the clock change only in a publish, which needs commit_mu_, so
+  // what validate and stage see under the shared lock still holds when
+  // this writer publishes.
+  MutexLock pipeline(commit_mu_);
 
   // Any failure from here on aborts cleanly: the store, last_commit_, and
   // the clock are untouched until the publish phase, which cannot fail.
@@ -216,106 +212,31 @@ Status TransactionManager::Commit(Transaction* txn) {
     return status;
   };
 
-  // Stage phase: describe each dirty object's post-commit image without
-  // building it. A created object is its workspace copy, its provisional
-  // (kTimeNow) bindings re-stamped with the commit time in place (the
-  // copy is private, and discarded if the commit fails). An update is the
-  // permanent object plus one binding per dirty element at the commit
-  // time. Images are persisted in oid order, so objects committed together
-  // cluster by oid on the platter as in the catalog's leaves.
-  struct Staged {
-    storage::ObjectImage image;
-    GsObject* created = nullptr;    // workspace copy, moved in at publish
-    GsObject* permanent = nullptr;  // updated in place at publish
-  };
-  std::vector<Staged> staged;
-  staged.reserve(txn->dirty_.size());
-  for (auto& [raw, marks] : txn->dirty_) {
-    const Oid oid{raw};
-    auto working_it = txn->working_.find(raw);
-    if (working_it == txn->working_.end()) {
-      return abort_cleanly(
-          Status::Internal("dirty object lacks a workspace copy"));
-    }
-    GsObject& copy = working_it->second;
-    Staged s;
-    s.image.time = commit_time;
-    if (txn->created_.count(raw) != 0) {
-      if (memory_->Find(oid) != nullptr) {
-        return abort_cleanly(
-            Status::Internal("created oid already in permanent store"));
-      }
-      copy.StampProvisional(commit_time);
-      s.image.object = &copy;
-      s.created = &copy;
-    } else {
-      GsObject* permanent = memory_->FindMutable(oid);
-      if (permanent == nullptr) {
-        return abort_cleanly(
-            Status::Internal("dirty object vanished from permanent store"));
-      }
-      s.image.object = permanent;
-      s.permanent = permanent;
-      for (SymbolId name : marks.named) {
-        const Value* v = copy.ReadNamed(name, kTimeNow);
-        s.image.named.emplace_back(name, v ? *v : Value::Nil());
-      }
-      // Ascending order so appends extend the image correctly.
-      std::vector<std::size_t> indexed(marks.indexed.begin(),
-                                       marks.indexed.end());
-      std::sort(indexed.begin(), indexed.end());
-      for (std::size_t index : indexed) {
-        const Value* v = copy.ReadIndexed(index, kTimeNow);
-        s.image.indexed.emplace_back(index, v ? *v : Value::Nil());
-      }
-    }
-    staged.push_back(std::move(s));
-  }
-  std::sort(staged.begin(), staged.end(),
-            [](const Staged& a, const Staged& b) {
-              return a.image.object->oid() < b.image.object->oid();
-            });
-
-  std::vector<storage::ObjectImage> images;
-  images.reserve(staged.size());
-  for (Staged& s : staged) images.push_back(std::move(s.image));
-
-  // Persist phase: the safe group write (Boxer/Linker/CommitManager) makes
-  // the staged images durable before any becomes visible. On failure the
-  // disk still recovers to the previous root and memory is unchanged, so a
-  // retry of the same writes sees no phantom conflicts.
-  if (engine_ != nullptr) {
-    Status persisted = engine_->CommitImages(images, memory_->symbols());
-    if (!persisted.ok()) {
-      // Abort (aborted_) before the cause counter: a stats() snapshot
-      // that observes the storage failure has already observed the abort.
-      Status status = abort_cleanly(persisted);
-      commit_storage_failures_.Increment(1, std::memory_order_release);
-      return status;
+  std::optional<Conflict> conflict;
+  const TxnTime commit_time = clock_.load() + 1;
+  Staged staged;
+  Status stage_status = Status::OK();
+  {
+    ReaderMutexLock lock(store_mu_);
+    // Backward validation: any accessed object committed after our start
+    // is a conflict ("validates them for consistency when a transaction
+    // commits", §6).
+    conflict = FindConflictLocked(*txn);
+    if (!conflict.has_value()) {
+      stage_status = StageLocked(txn, commit_time, &staged);
     }
   }
+  if (conflict.has_value()) return AbortConflicted(txn, *conflict);
+  if (!stage_status.ok()) return abort_cleanly(stage_status);
 
-  // Publish phase: durability achieved; move created objects into the
-  // permanent store, append the updates' bindings, and advance the
-  // logical state. Nothing fallible left (ObjectMemory pointers are stable
-  // and created oids were verified absent under this same exclusive lock).
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    storage::ObjectImage& image = images[i];
-    const std::uint64_t raw = image.object->oid().raw;
-    if (staged[i].created != nullptr) {
-      (void)memory_->Insert(std::move(*staged[i].created));
-    } else {
-      for (auto& [name, value] : image.named) {
-        staged[i].permanent->WriteNamed(name, commit_time, std::move(value));
-      }
-      for (auto& [index, value] : image.indexed) {
-        staged[i].permanent->WriteIndexed(index, commit_time,
-                                          std::move(value));
-      }
-    }
-    last_commit_[raw] = commit_time;
+  Status published = PersistAndPublish(std::move(staged), commit_time);
+  if (!published.ok()) {
+    // Abort (aborted_) before the cause counter: a stats() snapshot that
+    // observes the storage failure has already observed the abort.
+    Status status = abort_cleanly(published);
+    commit_storage_failures_.Increment(1, std::memory_order_release);
+    return status;
   }
-  clock_.store(commit_time);
   txn->state_ = TxnState::kCommitted;
   txn->working_.clear();
   committed_.Increment(1, std::memory_order_release);
@@ -327,6 +248,120 @@ Status TransactionManager::Commit(Transaction* txn) {
       telemetry::FlightEventKind::kTxnCommit, txn->session(), commit_time,
       latency_us, "");
   observe_latency();
+  return Status::OK();
+}
+
+Status TransactionManager::StageLocked(Transaction* txn, TxnTime commit_time,
+                                       Staged* staged) {
+  // Describe each dirty object's post-commit image without building it. A
+  // created object is its workspace copy, its provisional (kTimeNow)
+  // bindings re-stamped with the commit time in place (the copy is
+  // private, and discarded if the commit fails). An update is the
+  // permanent object plus one binding per dirty element at the commit
+  // time; only the publish changes the permanent object itself. Images
+  // go in oid order, so objects committed together cluster by oid on the
+  // platter as in the catalog's leaves.
+  std::vector<std::uint64_t> order(txn->created_.begin(),
+                                   txn->created_.end());
+  order.reserve(order.size() + txn->dirty_.size());
+  for (const auto& [raw, marks] : txn->dirty_) order.push_back(raw);
+  std::sort(order.begin(), order.end());
+  staged->images.reserve(order.size());
+  staged->targets.reserve(order.size());
+  for (std::uint64_t raw : order) {
+    const Oid oid{raw};
+    auto working_it = txn->working_.find(raw);
+    if (working_it == txn->working_.end()) {
+      return Status::Internal("dirty object lacks a workspace copy");
+    }
+    GsObject& copy = working_it->second;
+    storage::ObjectImage image;
+    PublishTarget target;
+    image.time = commit_time;
+    if (txn->created_.count(raw) != 0) {
+      if (memory_->Find(oid) != nullptr) {
+        return Status::Internal("created oid already in permanent store");
+      }
+      copy.StampProvisional(commit_time);
+      image.object = &copy;
+      target.created = &copy;
+    } else {
+      GsObject* permanent = memory_->FindMutable(oid);
+      if (permanent == nullptr) {
+        return Status::Internal("dirty object vanished from permanent store");
+      }
+      image.object = permanent;
+      target.permanent = permanent;
+      const Transaction::DirtyMarks& marks = txn->dirty_.at(raw);
+      for (SymbolId name : marks.named) {
+        const Value* v = copy.ReadNamed(name, kTimeNow);
+        image.named.emplace_back(name, v ? *v : Value::Nil());
+      }
+      // Ascending order so appends extend the image correctly.
+      std::vector<std::size_t> indexed(marks.indexed.begin(),
+                                       marks.indexed.end());
+      std::sort(indexed.begin(), indexed.end());
+      for (std::size_t index : indexed) {
+        const Value* v = copy.ReadIndexed(index, kTimeNow);
+        image.indexed.emplace_back(index, v ? *v : Value::Nil());
+      }
+    }
+    staged->images.push_back(std::move(image));
+    staged->targets.push_back(target);
+  }
+  return Status::OK();
+}
+
+Status TransactionManager::PersistAndPublish(
+    Staged staged, std::optional<TxnTime> commit_time) {
+  std::vector<storage::ObjectImage>& images = staged.images;
+
+  // Persist phase, holding no store lock: the safe group write
+  // (Boxer/Linker/CommitManager) makes the images durable before any
+  // becomes visible. Readers run beside it: it only reads the permanent
+  // objects and the engine's catalog, and only writers (excluded by
+  // commit_mu_) change them. On failure the disk still recovers to the
+  // previous root and memory is unchanged, so a retry of the same writes
+  // sees no phantom conflicts.
+  storage::StorageEngine::PersistedCommit persisted;
+  if (engine_ != nullptr) {
+    GS_ASSIGN_OR_RETURN(persisted,
+                        engine_->Persist(images, memory_->symbols()));
+  }
+
+  // Publish phase: durability achieved; the only span in which a writer
+  // excludes readers. Adopt the new catalog pages, move created objects
+  // into the permanent store, apply the updates, and advance the logical
+  // state. Nothing fallible is left (ObjectMemory pointers are stable and
+  // created oids were verified absent at stage, which no other writer
+  // could change since).
+  WriterMutexLock lock(store_mu_);
+  const auto held_since = std::chrono::steady_clock::now();
+  if (engine_ != nullptr) engine_->Adopt(std::move(persisted));
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    storage::ObjectImage& image = images[i];
+    const PublishTarget& target = staged.targets[i];
+    if (target.created != nullptr) {
+      (void)memory_->Insert(std::move(*target.created));
+    } else if (target.replacement != nullptr) {
+      *target.permanent = std::move(*target.replacement);
+    } else {
+      for (auto& [name, value] : image.named) {
+        target.permanent->WriteNamed(name, image.time, std::move(value));
+      }
+      for (auto& [index, value] : image.indexed) {
+        target.permanent->WriteIndexed(index, image.time, std::move(value));
+      }
+    }
+    if (commit_time.has_value()) {
+      last_commit_[image.object->oid().raw] = *commit_time;
+    }
+  }
+  if (commit_time.has_value()) clock_.store(*commit_time);
+  publish_hold_us_->Observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - held_since)
+          .count()));
   return Status::OK();
 }
 
@@ -360,7 +395,8 @@ TransactionManager::ConflictHotspots(std::size_t top_n) const {
 }
 
 Result<Oid> TransactionManager::CreateObject(Transaction* txn, Oid class_oid) {
-  WriterMutexLock lock(store_mu_);
+  // No store lock: the oid counter is atomic, the class registry locks
+  // itself, and the new object lives in the private workspace.
   if (!txn->active()) {
     return Status::TransactionState("create outside an active transaction");
   }
@@ -369,8 +405,7 @@ Result<Oid> TransactionManager::CreateObject(Transaction* txn, Oid class_oid) {
   }
   const Oid oid = memory_->AllocateOid();
   txn->working_.emplace(oid.raw, GsObject(oid, class_oid));
-  txn->created_.insert(oid.raw);
-  txn->dirty_[oid.raw];  // ensure the object publishes even if never written
+  txn->created_.insert(oid.raw);  // publishes even if never written
   telemetry::Profiler::CountAlloc();
   return oid;
 }
@@ -407,6 +442,12 @@ Result<GsObject*> TransactionManager::WorkingCopyLocked(Transaction* txn,
   }
   auto [inserted, ok] = txn->working_.emplace(oid.raw, *permanent);
   return &inserted->second;
+}
+
+Transaction::DirtyMarks* TransactionManager::MarksFor(Transaction* txn,
+                                                     Oid oid) {
+  if (txn->created_.count(oid.raw) != 0) return nullptr;
+  return &txn->dirty_[oid.raw];
 }
 
 Result<Value> TransactionManager::ReadNamed(Transaction* txn, Oid oid,
@@ -446,7 +487,7 @@ Status TransactionManager::WriteNamed(Transaction* txn, Oid oid, SymbolId name,
   GS_RETURN_IF_ERROR(CheckWriteAccess(txn, oid));
   GS_ASSIGN_OR_RETURN(GsObject* copy, WorkingCopyLocked(txn, oid));
   copy->WriteNamed(name, kTimeNow, std::move(value));
-  txn->dirty_[oid.raw].named.insert(name);
+  if (auto* marks = MarksFor(txn, oid)) marks->named.insert(name);
   return Status::OK();
 }
 
@@ -493,7 +534,7 @@ Status TransactionManager::WriteIndexed(Transaction* txn, Oid oid,
   // Gap slots materialized by an over-the-end write re-materialize on the
   // permanent object at commit (WriteIndexed grows with nil bindings), so
   // only the written slot needs a dirty mark.
-  txn->dirty_[oid.raw].indexed.insert(index);
+  if (auto* marks = MarksFor(txn, oid)) marks->indexed.insert(index);
   return Status::OK();
 }
 
@@ -506,7 +547,7 @@ Result<std::size_t> TransactionManager::AppendIndexed(Transaction* txn,
   GS_RETURN_IF_ERROR(CheckWriteAccess(txn, oid));
   GS_ASSIGN_OR_RETURN(GsObject* copy, WorkingCopyLocked(txn, oid));
   const std::size_t index = copy->AppendIndexed(kTimeNow, std::move(value));
-  txn->dirty_[oid.raw].indexed.insert(index);
+  if (auto* marks = MarksFor(txn, oid)) marks->indexed.insert(index);
   return index;
 }
 
@@ -837,29 +878,36 @@ TransactionManager::CollectHistory(Oid oid, TxnTime boundary) {
 }
 
 Status TransactionManager::ApplyDemotion(Oid oid, TxnTime boundary) {
-  WriterMutexLock lock(store_mu_);
-  GsObject* permanent = memory_->FindMutable(oid);
-  if (permanent == nullptr) {
-    return Status::NotFound("no such object: " + oid.ToString());
+  // A demotion is a writer like any commit: same pipeline, same locks.
+  MutexLock pipeline(commit_mu_);
+  GsObject truncated;
+  PublishTarget target;
+  {
+    ReaderMutexLock lock(store_mu_);
+    GsObject* permanent = memory_->FindMutable(oid);
+    if (permanent == nullptr) {
+      return Status::NotFound("no such object: " + oid.ToString());
+    }
+    if (boundary <= permanent->history_floor() &&
+        permanent->CountTruncatableBelow(boundary) == 0) {
+      return Status::OK();
+    }
+    truncated = *permanent;
+    target.permanent = permanent;
   }
-  if (boundary <= permanent->history_floor() &&
-      permanent->CountTruncatableBelow(boundary) == 0) {
-    return Status::OK();
-  }
+  truncated.TruncateHistoryBelow(boundary);
+  target.replacement = &truncated;
+  Staged staged;
+  staged.images.emplace_back(&truncated);
+  staged.targets.push_back(target);
   // Durability order: the truncated image reaches the primary device
   // before the resident copy changes. A crash on either side of the write
   // recovers to pre- or post-truncation — the demoted bindings are
   // already in the tier store either way, so reads never see a gap.
-  GsObject truncated = *permanent;
-  truncated.TruncateHistoryBelow(boundary);
-  if (engine_ != nullptr) {
-    GS_RETURN_IF_ERROR(
-        engine_->CommitObjects({&truncated}, memory_->symbols()));
-  }
-  *permanent = std::move(truncated);
-  // last_commit_ stays untouched: truncation changes no logical content,
-  // so in-flight transactions must not see phantom conflicts from it.
-  return Status::OK();
+  // last_commit_ and the clock stay untouched (no commit time): truncation
+  // changes no logical content, so in-flight transactions must not see
+  // phantom conflicts from it.
+  return PersistAndPublish(std::move(staged), std::nullopt);
 }
 
 }  // namespace gemstone::txn

@@ -37,12 +37,12 @@ namespace gemstone::txn {
 ///   aborted + committed                 <= begun
 ///
 /// The guarantee comes from an explicit ordering discipline rather than a
-/// lock: writers (already serialized by the manager's store lock)
-/// increment the implied counter first (begun, then aborted/committed,
-/// then the abort-cause counter) and give the *last* increment release
-/// order; stats() loads in the reverse order, cause counters first with
-/// acquire. Observing a cause therefore implies observing its abort, and
-/// observing an outcome implies observing its begin.
+/// lock: the thread driving a transaction increments the implied counter
+/// first (begun, then aborted/committed, then the abort-cause counter)
+/// and gives the *last* increment release order; stats() loads in the
+/// reverse order, cause counters first with acquire. Observing a cause
+/// therefore implies observing its abort, and observing an outcome
+/// implies observing its begin.
 struct TxnStats {
   std::uint64_t begun = 0;
   std::uint64_t committed = 0;
@@ -55,16 +55,27 @@ struct TxnStats {
 /// permanent database in an optimistic manner", plus the per-session data
 /// access interface of the Object Manager.
 ///
-/// Concurrency model: readers hold a shared lock per operation; Commit
-/// holds the unique lock while it validates (backward validation at
-/// object granularity: any object read or written whose last commit time
-/// exceeds the transaction's start time is a conflict), stages each dirty
-/// object's post-commit image beside the store, and — when a
-/// StorageEngine is attached — performs the safe group write *before*
-/// publishing anything: the staged images fold into the permanent store,
-/// and `last_commit_` / the clock advance, only after the root flip
-/// succeeds. Every failure path leaves the transaction aborted and
-/// ObjectMemory, `last_commit_`, and the clock exactly as they were.
+/// Concurrency model: readers hold `store_mu_` shared per operation.
+/// Writers — commits that wrote or created something, and demotions —
+/// go one at a time through the commit pipeline under `commit_mu_`:
+///
+///   validate + stage   store_mu_ shared (backward validation at object
+///                      granularity: any object read or written whose
+///                      last commit time exceeds the transaction's start
+///                      time is a conflict; each dirty object's
+///                      post-commit image is described, not built)
+///   persist            no store lock (when a StorageEngine is attached,
+///                      the safe group write and root flip)
+///   publish            store_mu_ exclusive (adopt the engine's new
+///                      catalog pages, apply the images, advance
+///                      `last_commit_` and the clock)
+///
+/// Only publish mutates what readers see, and it follows a durable root
+/// flip. `last_commit_` and the clock change only in a publish, so a
+/// writer's validation still holds when it publishes. Every failure path
+/// leaves the transaction aborted and ObjectMemory, `last_commit_`, and
+/// the clock exactly as they were. `txn.publish_hold_us` records how long
+/// each publish holds readers out.
 ///
 /// All element access from sessions goes through this class so that no
 /// raw object pointer outlives its lock scope.
@@ -73,10 +84,10 @@ struct TxnStats {
 /// window onto live history: candidates are ranked by the engine's
 /// historical-channel heat, CollectHistory emits an object's cold prefix,
 /// and ApplyDemotion truncates the resident copy — durably — after the
-/// tier store has the records. Once an object's history floor rises,
-/// time-dial reads below it route through the attached TierStore (the
-/// tier mutex ranks directly inside store_mu_, so resolution nests
-/// cleanly under the reader lock).
+/// tier store has the records, through the same commit pipeline. Once an
+/// object's history floor rises, time-dial reads below it route through
+/// the attached TierStore (the tier mutex ranks directly inside
+/// store_mu_, so resolution nests cleanly under the reader lock).
 class TransactionManager : public storage::tier::HistorySource {
  public:
   /// `engine`, when non-null, must be open; every commit then also writes
@@ -128,10 +139,10 @@ class TransactionManager : public storage::tier::HistorySource {
   TxnTime Now() const { return clock_.load(); }
 
   /// §5.4: "the most recent state for which no currently running
-  /// transaction can make changes." Commits are atomic under the store
-  /// lock and always stamp a time greater than the current clock, so the
-  /// clock itself is safe: a read-only transaction pinned at SafeTime can
-  /// never be invalidated.
+  /// transaction can make changes." Commits publish atomically under the
+  /// exclusive store lock and always stamp a time greater than the
+  /// current clock, so the clock itself is safe: a read-only transaction
+  /// pinned at SafeTime can never be invalidated.
   TxnTime SafeTime() const { return clock_.load(); }
 
   TxnStats stats() const;
@@ -229,19 +240,62 @@ class TransactionManager : public storage::tier::HistorySource {
     return tiers_ != nullptr && at != kTimeNow && at < object.history_floor();
   }
 
+  /// An accessed object that committed after the transaction started.
+  struct Conflict {
+    std::uint64_t raw;
+    const char* what;  // "read" or "written"
+  };
+
   /// Backward validation for one accessed object: true when it committed
   /// after `txn` started (created objects are invisible to others and
-  /// never conflict). Commit-path only; validation only reads
-  /// `last_commit_`, so a read-only commit may run it under the shared
-  /// lock.
+  /// never conflict).
   bool HasConflictLocked(const Transaction& txn, std::uint64_t raw) const
       GS_REQUIRES_SHARED(store_mu_);
 
-  /// Aborts `txn` because `raw` changed since it started: flips state,
-  /// bumps the abort/conflict counters, tallies the hotspot, records the
-  /// flight event, and returns the conflict status.
-  Status AbortConflictedLocked(Transaction* txn, std::uint64_t raw,
-                               const char* what) GS_REQUIRES(store_mu_);
+  /// Backward validation: the first object `txn` read or wrote that
+  /// committed after it started; nullopt when valid. Only reads
+  /// `last_commit_`.
+  std::optional<Conflict> FindConflictLocked(const Transaction& txn) const
+      GS_REQUIRES_SHARED(store_mu_);
+
+  /// Aborts `txn` on `conflict`: flips state, bumps the abort/conflict
+  /// counters, tallies the hotspot (taking store_mu_ exclusively for just
+  /// that), records the flight event, and returns the conflict status.
+  Status AbortConflicted(Transaction* txn, Conflict conflict)
+      GS_EXCLUDES(store_mu_);
+
+  /// Where one staged image lands at publish.
+  struct PublishTarget {
+    GsObject* created = nullptr;      // workspace copy, moved in
+    GsObject* permanent = nullptr;    // updated in place
+    GsObject* replacement = nullptr;  // demotion: replaces *permanent
+  };
+
+  /// A writer's post-commit state, in oid order: `images[i]` is persisted
+  /// and then published through `targets[i]`.
+  struct Staged {
+    std::vector<storage::ObjectImage> images;
+    std::vector<PublishTarget> targets;
+  };
+
+  /// Stage phase of a commit: one image per dirty object of `txn`, its
+  /// bindings at `commit_time`. Touches only the private workspace.
+  Status StageLocked(Transaction* txn, TxnTime commit_time, Staged* staged)
+      GS_REQUIRES(commit_mu_) GS_REQUIRES_SHARED(store_mu_);
+
+  /// The persist and publish phases every writer shares: persists the
+  /// staged images holding no store lock, then takes store_mu_
+  /// exclusively to adopt the engine's new catalog pages and apply them.
+  /// A commit publishes at `commit_time`, advancing `last_commit_` and
+  /// the clock; a demotion (nullopt) changes no logical content. A
+  /// persist failure returns with nothing published.
+  Status PersistAndPublish(Staged staged, std::optional<TxnTime> commit_time)
+      GS_REQUIRES(commit_mu_) GS_EXCLUDES(store_mu_);
+
+  /// The element marks a write of `oid` records, or null when `txn`
+  /// created `oid`: a created object publishes whole, so its marks would
+  /// never be read.
+  static Transaction::DirtyMarks* MarksFor(Transaction* txn, Oid oid);
 
   /// Tracks the high-water mark of any transaction's read set
   /// (`txn.read_set_peak`): evidence for how much validation state
@@ -265,14 +319,16 @@ class TransactionManager : public storage::tier::HistorySource {
   storage::tier::TierStore* tiers_ = nullptr;
   const AccessController* access_ = nullptr;
 
+  /// The commit pipeline: one writer at a time through validate, stage,
+  /// persist and publish. Readers never take it.
+  Mutex commit_mu_{LockRank::kTxnCommit, "txn.commit_mu"};
   mutable SharedMutex store_mu_{LockRank::kTxnStore, "txn.store_mu"};
   std::atomic<TxnTime> clock_{0};
   std::unordered_map<std::uint64_t, TxnTime> last_commit_
       GS_GUARDED_BY(store_mu_);
 
-  /// Per-object conflict tally, maintained on the (already exclusive)
-  /// commit validation path. Bounded so a pathological workload cannot
-  /// grow it without limit.
+  /// Per-object conflict tally, maintained by conflict aborts. Bounded so
+  /// a pathological workload cannot grow it without limit.
   static constexpr std::size_t kConflictHotspotCap = 4096;
   std::unordered_map<std::uint64_t, std::uint64_t> conflict_by_oid_
       GS_GUARDED_BY(store_mu_);
@@ -288,6 +344,7 @@ class TransactionManager : public storage::tier::HistorySource {
   telemetry::Counter historical_reads_;
   telemetry::Counter tier_routed_reads_;  // time-dial reads below a floor
   telemetry::Histogram* commit_latency_us_;  // registry-owned
+  telemetry::Histogram* publish_hold_us_;    // registry-owned
   telemetry::Registration telemetry_;  // after the counters it samples
 };
 

@@ -56,6 +56,22 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(h(Value::Ref(Oid(3))), h(Value::Ref(Oid(3))));
 }
 
+// Every association in every history holds a Value, so its size is the
+// per-version memory cost of the whole store.
+static_assert(sizeof(Value) <= 24, "Value must stay 24 bytes");
+
+TEST(ValueTest, SeparatelyBuiltStringsCompareAndHashByContent) {
+  const Value a = Value::String("Lincoln");
+  const Value b = Value::String(std::string("Lin") + "coln");
+  EXPECT_NE(&a.string(), &b.string());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(ValueHash()(a), ValueHash()(b));
+  EXPECT_NE(a, Value::String("Lincoln "));
+  // Copies share the immutable string.
+  const Value copy = a;
+  EXPECT_EQ(&copy.string(), &a.string());
+}
+
 TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Boolean(false).ToString(), "false");
   EXPECT_EQ(Value::Integer(42).ToString(), "42");

@@ -394,5 +394,51 @@ TEST_F(PersistentTxnTest, OnlyChangedObjectsHitDisk) {
   EXPECT_EQ(engine_.stats().objects_written, after_first + 1);
 }
 
+// txn.publish_hold_us bounds how long a reader can wait on a writer: one
+// observation per writer commit or demotion, none for read-only commits
+// or conflict aborts, which never publish.
+TEST_F(PersistentTxnTest, PublishHoldRecordsOncePerWriterCommit) {
+  const telemetry::Histogram* hold =
+      telemetry::MetricsRegistry::Global().GetHistogram("txn.publish_hold_us");
+  const std::uint64_t before = hold->count();
+  SymbolId x = memory_.symbols().Intern("x");
+  auto create = manager_.Begin(0);
+  Oid oid = manager_.CreateObject(create.get(), memory_.kernel().object)
+                .ValueOrDie();
+  ASSERT_TRUE(
+      manager_.WriteNamed(create.get(), oid, x, Value::Integer(0)).ok());
+  ASSERT_TRUE(manager_.Commit(create.get()).ok());
+  EXPECT_EQ(hold->count(), before + 1);
+
+  for (int i = 1; i <= 3; ++i) {
+    auto update = manager_.Begin(0);
+    ASSERT_TRUE(
+        manager_.WriteNamed(update.get(), oid, x, Value::Integer(i)).ok());
+    ASSERT_TRUE(manager_.Commit(update.get()).ok());
+  }
+  EXPECT_EQ(hold->count(), before + 4);
+
+  auto reader = manager_.Begin(1);
+  ASSERT_TRUE(manager_.ReadNamed(reader.get(), oid, x).ok());
+  ASSERT_TRUE(manager_.Commit(reader.get()).ok());
+  EXPECT_EQ(hold->count(), before + 4);
+
+  auto loser = manager_.Begin(2);
+  ASSERT_TRUE(manager_.WriteNamed(loser.get(), oid, x, Value::Integer(9)).ok());
+  auto winner = manager_.Begin(3);
+  ASSERT_TRUE(
+      manager_.WriteNamed(winner.get(), oid, x, Value::Integer(8)).ok());
+  ASSERT_TRUE(manager_.Commit(winner.get()).ok());
+  ASSERT_TRUE(manager_.Commit(loser.get()).IsTransactionConflict());
+  EXPECT_EQ(hold->count(), before + 5);
+
+  ASSERT_TRUE(manager_.ApplyDemotion(oid, manager_.Now()).ok());
+  EXPECT_EQ(hold->count(), before + 6);
+  // Exported with every other registry histogram (/metrics, System stats).
+  EXPECT_EQ(telemetry::MetricsRegistry::Global().Snapshot().histograms.count(
+                "txn.publish_hold_us"),
+            1u);
+}
+
 }  // namespace
 }  // namespace gemstone::txn
