@@ -191,9 +191,8 @@ void BM_NetReadHeavyMix(benchmark::State& state) {
             std::string(write_targets[c]) + " instVarNamed: 'v' put: 2";
         for (int op = 0; op < kOpsPerClient; ++op) {
           if (op % 10 == 9) {
-            // The write dirties the session, so it (and its commit) runs
-            // on the exclusive path; Begin restores read-path
-            // eligibility.
+            // The write dirties the session, so it runs unpinned; Begin
+            // makes the next query eligible for the snapshot again.
             (void)client.Execute(write_block);
             (void)client.Commit();
             (void)client.Begin();
@@ -260,29 +259,18 @@ int main(int argc, char** argv) {
   }
 
   // Per-stage attribution: where did the wall-clock go? The stage deltas
-  // telescope (queue + lock_wait + execute + serialize + flush = total),
-  // so the stage sums must re-add to net.request_latency_us.sum within
-  // per-stage truncation error — bench_lock_wait_share_pct is then the
-  // coarse-lock contention share, and stage_sum_vs_total_pct ~ 100 is the
-  // accounting's own self-check.
+  // telescope (queue + execute + serialize + flush = total), so the stage
+  // sums must re-add to net.request_latency_us.sum within per-stage
+  // truncation error — stage_sum_vs_total_pct ~ 100 is the accounting's
+  // own self-check.
   std::uint64_t stage_sum = 0;
-  std::uint64_t lock_wait_sum = 0;
   for (const char* stage :
-       {"net.stage.queue_us", "net.stage.lock_wait_us",
-        "net.stage.execute_us", "net.stage.serialize_us",
-        "net.stage.flush_us"}) {
+       {"net.stage.queue_us", "net.stage.execute_us",
+        "net.stage.serialize_us", "net.stage.flush_us"}) {
     const auto it = snapshot.histograms.find(stage);
-    if (it == snapshot.histograms.end()) continue;
-    stage_sum += it->second.sum;
-    if (it->first == "net.stage.lock_wait_us") {
-      lock_wait_sum = it->second.sum;
-    }
+    if (it != snapshot.histograms.end()) stage_sum += it->second.sum;
   }
   if (latency != snapshot.histograms.end() && latency->second.sum > 0) {
-    registry.GetGauge("net.bench_lock_wait_share_pct")
-        ->Set(static_cast<std::int64_t>(
-            100.0 * static_cast<double>(lock_wait_sum) /
-            static_cast<double>(latency->second.sum)));
     registry.GetGauge("net.bench_stage_sum_vs_total_pct")
         ->Set(static_cast<std::int64_t>(
             100.0 * static_cast<double>(stage_sum) /

@@ -10,7 +10,6 @@ std::string_view LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kNetConnTable: return "net.conn_table";
     case LockRank::kNetConnection: return "net.connection";
-    case LockRank::kNetExecutor: return "net.executor";
     case LockRank::kExecutorSessions: return "executor.sessions";
     case LockRank::kOpalGlobals: return "opal.globals";
     case LockRank::kTxnCommit: return "txn.commit";
@@ -51,7 +50,7 @@ std::atomic<std::uint64_t> violations{0};
 std::atomic<bool> abort_on_violation{true};
 
 /// Per-thread held-lock stack. Deep enough for the longest legal chain
-/// (conn_table -> conn -> executor -> ... -> telemetry is 8 deep; 32
+/// (txn.commit -> txn.store -> ... -> telemetry is 8 deep; 32
 /// leaves room for what the next PRs add).
 constexpr std::size_t kMaxHeld = 32;
 struct ThreadStack {

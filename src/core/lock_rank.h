@@ -40,7 +40,8 @@ namespace gemstone {
 
 /// The global rank lattice, outermost (acquired first) to innermost.
 /// Mirrors the DESIGN.md §12 contract
-///   conn_table_mu_ -> conn->mu -> executor_mu_ / store_mu_ -> ...
+///   conn_table_mu_ -> conn->mu;  commit_mu_ -> store_mu_ -> ...
+/// (the gateway holds neither of its locks while entering the executor),
 /// extended downward through every module that owns shared state. The
 /// full table — each rank, its owning mutex, and who may hold what
 /// beneath it — lives in DESIGN.md §13; keep the two in sync (gs_lint
@@ -49,7 +50,6 @@ enum class LockRank : std::uint8_t {
   // -- Gateway (src/net) ----------------------------------------------------
   kNetConnTable = 0,   // net::Server::conn_table_mu_
   kNetConnection,      // net::Server::Connection::mu (one at a time)
-  kNetExecutor,        // net::Server::executor_mu_ (the write path)
   // -- Executor / interpreter shared state ----------------------------------
   kExecutorSessions,   // executor::Executor::sessions_mu_
   kOpalGlobals,        // opal::GlobalEnv::mu_

@@ -29,8 +29,8 @@ enum class StatusCode {
   kUnavailable,         // object migrated to archival media
   kNotImplemented,
   kInternal,            // invariant violation inside the library
-  kReadOnlyRetry,       // side effect on the snapshot read path; rerun
-                        // the request on the exclusive write path
+  kReadOnlyRetry,       // side effect under a snapshot pin; the gateway
+                        // reruns the request unpinned, never sends it
 };
 
 /// Returns a stable human-readable name, e.g. "TransactionConflict".

@@ -109,13 +109,6 @@ opal::Interpreter* Executor::interpreter(SessionId id) {
   return it == sessions_.end() ? nullptr : it->second.interpreter.get();
 }
 
-bool Executor::SessionIsReadPathEligible(SessionId id) {
-  ReaderMutexLock lock(sessions_mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return true;
-  return it->second.session->SnapshotReadEligible();
-}
-
 Result<Value> Executor::Execute(SessionId session, std::string_view source) {
   opal::Interpreter* interp = interpreter(session);
   if (interp == nullptr) {

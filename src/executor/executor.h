@@ -113,11 +113,6 @@ class Executor {
   opal::GlobalEnv& globals() { return globals_; }
   txn::Session* session(SessionId id);
   opal::Interpreter* interpreter(SessionId id);
-  /// Whether `id` may run on the gateway's snapshot read path: true when
-  /// the session has a time dial set or its transaction has not yet
-  /// recorded any access (see txn::Session::SnapshotReadEligible).
-  /// Unknown sessions answer true — the dispatch itself reports NotFound.
-  bool SessionIsReadPathEligible(SessionId id);
   /// Safe to call from any thread: monitors observe the gateway tearing
   /// sessions down concurrently, so the count is a release/acquire atomic
   /// rather than a read of the (unsynchronized) session table.

@@ -31,11 +31,10 @@ struct ServerOptions {
   /// (Server::port() reports the choice).
   std::uint16_t port = 0;
 
-  /// Worker threads executing requests. Read-shaped requests (queries,
-  /// non-writing OPAL, EXPLAIN) run concurrently on the snapshot read
-  /// path; writes and commits serialize on the exclusive path (DESIGN.md
-  /// §10, §12). Extra workers also overlap framing, response writes, and
-  /// queue handoff with execution.
+  /// Worker threads executing requests. Requests of different
+  /// connections run concurrently, reads and writes alike; they meet only
+  /// in the transaction manager (DESIGN.md §10, §12). Extra workers also
+  /// overlap framing, response writes, and queue handoff with execution.
   int workers = 4;
 
   /// Accepted connections beyond this are answered with a kProtocolError
@@ -73,8 +72,7 @@ struct ServerOptions {
 /// `net.stage.*` histograms measure. Exposed per connection in /statusz.
 enum class RequestStage : std::uint8_t {
   kIdle = 0,    // no request being served
-  kLockWait,    // dequeued, waiting on executor_mu_
-  kExecute,     // inside the Executor
+  kExecute,     // dequeued, inside the Executor
   kSerialize,   // encoding the response frame
   kFlush,       // response in the outbox, waiting for the socket
 };
@@ -93,11 +91,11 @@ std::string_view RequestStageName(RequestStage stage);
 /// every socket; `workers` threads own request execution. A connection is
 /// in the dispatch queue at most once, so its requests execute in order
 /// and its Session is never touched by two workers at once (enforced in
-/// GS_THREAD_SAFETY builds by the Session owner assertion). Dispatch
-/// splits per request: read-shaped requests on an access-free session run
-/// pinned to the SafeTime commit snapshot without executor_mu_ (retrying
-/// on the exclusive path if the code turns out to write); everything else
-/// serializes under executor_mu_.
+/// GS_THREAD_SAFETY builds by the Session owner assertion). Requests of
+/// different connections run side by side under no gateway lock: as in
+/// §6, sessions meet only in the Transaction Manager. A query on a session
+/// with a fresh transaction runs pinned to the SafeTime commit snapshot,
+/// and reruns unpinned in place if the code turns out to write.
 class Server {
  public:
   /// `executor` must outlive the server. `auth`, when non-null, is
@@ -148,17 +146,11 @@ class Server {
   struct Connection;
   struct Request;
 
-  /// A response before framing: DispatchLocked returns one of these so
-  /// the frame encode (the serialize stage) happens *outside*
-  /// executor_mu_ — the coarse lock holds only real Executor work.
+  /// A response before framing: Dispatch returns one of these, and the
+  /// frame encode is timed as its own stage (serialize).
   struct Reply {
     MsgType type = MsgType::kOk;
     std::string payload;
-    /// Set by DispatchReadOnly when the request hit a side effect under
-    /// the snapshot pin (kReadOnlyRetry): the caller discards this reply
-    /// and re-runs the request under executor_mu_. Never leaves the
-    /// server — the client sees only the retried outcome.
-    bool retry_exclusive = false;
   };
 
   /// Stage timings and identity of one response waiting in the outbox for
@@ -172,7 +164,6 @@ class Server {
     std::uint32_t seq = 0;
     MsgType type = MsgType::kOk;
     std::uint64_t queue_us = 0;
-    std::uint64_t lock_wait_us = 0;
     std::uint64_t execute_us = 0;
     std::uint64_t serialize_us = 0;
     std::uint64_t tracks_read = 0;
@@ -195,22 +186,17 @@ class Server {
   void WakeLoop();
 
   /// Executes one request and appends the response frame to the outbox,
-  /// observing the queue/lock_wait/execute/serialize stage histograms.
+  /// observing the queue/execute/serialize stage histograms.
   void HandleRequest(Connection* conn, Request&& request);
-  Reply DispatchLocked(Connection* conn, const Request& request)
-      GS_REQUIRES(executor_mu_);
-  /// True when `request` may try the snapshot read path: a read-shaped
-  /// type on a logged-in connection whose session has a time dial or a
-  /// transaction with no recorded accesses. Decided outside any lock —
-  /// only this connection's worker mutates that state (per-connection
-  /// FIFO), so the answer cannot go stale before dispatch.
-  bool ReadPathEligible(Connection* conn, const Request& request);
-  /// Runs a read-shaped request without executor_mu_, pinned to the
-  /// commit snapshot at SafeTime (unless a dial already fixes the view).
-  /// Answers retry_exclusive when the code attempted a side effect.
-  Reply DispatchReadOnly(Connection* conn, const Request& request);
-  /// Shared SetTimeDial decode/apply (both dispatch paths).
-  Reply DispatchTimeDial(txn::Session* session, const Request& request);
+  /// Runs one request on the connection's session; the one switch over
+  /// message types. Holds no gateway lock.
+  Reply Dispatch(Connection* conn, const Request& request);
+  /// Runs a query (ExecuteOpal, StdmQuery, Explain). A session whose view
+  /// is already immutable (a dial) or whose transaction has recorded no
+  /// access runs it on a snapshot: pinned to SafeTime unless dialed. If
+  /// the pinned code tries a side effect it answers kReadOnlyRetry before
+  /// mutating anything, and the query reruns unpinned, in place.
+  Reply DispatchQuery(txn::Session* session, const Request& request);
   /// Renders a failure as a kError reply (and counts it).
   Reply ErrorReply(const Status& status);
   /// Completes flushed responses on `conn`: pops every PendingFlush whose
@@ -239,15 +225,6 @@ class Server {
   std::thread loop_thread_;
   std::vector<std::thread> worker_threads_;
 
-  /// Serializes the *write path* into the Executor: mutating OPAL,
-  /// transaction control, login/logout. The Executor's shared structures
-  /// (session table, class registry, globals, TransactionManager) are
-  /// internally synchronized, so snapshot read-path requests bypass this
-  /// lock entirely (DESIGN.md §12); it survives as the serialization
-  /// point for writers and as the fallback for reads that turn out to
-  /// write. Lock order: never while holding conn_table_mu_ or conn->mu.
-  Mutex executor_mu_{LockRank::kNetExecutor, "net.executor_mu"};
-
   /// Dispatch queue: connections with pending requests, each present at
   /// most once. Guarded by queue_mu_ — a raw std::mutex (invisible to the
   /// thread-safety analysis and the lock-order validator) because the
@@ -260,8 +237,8 @@ class Server {
 
   /// Connection table. Written by the event-loop thread; StatusJson (any
   /// thread) reads it, so the table itself is lock-protected. Lock order:
-  /// conn_table_mu_ before conn->mu and before executor_mu_; workers take
-  /// it only from the (otherwise lock-free) status path.
+  /// conn_table_mu_ before conn->mu, and neither is held while entering
+  /// the executor; workers take it only from the status path.
   mutable Mutex conn_table_mu_{LockRank::kNetConnTable,
                                "net.conn_table_mu"};
   std::map<int, std::shared_ptr<Connection>> connections_
@@ -287,15 +264,14 @@ class Server {
   telemetry::Counter* idle_timeouts_;
   telemetry::Counter* request_timeouts_;
   telemetry::Counter* slow_requests_;
-  /// Requests served on (or bounced off) the snapshot read path.
+  /// Queries run on a snapshot, and those of them that reran unpinned.
   telemetry::Counter* read_path_requests_;
   telemetry::Counter* read_path_retries_;
-  /// End-to-end latency (socket read to response flushed) and the five
-  /// stage histograms it telescopes into: total = queue + lock_wait +
-  /// execute + serialize + flush for every request, by construction.
+  /// End-to-end latency (socket read to response flushed) and the four
+  /// stage histograms it telescopes into: total = queue + execute +
+  /// serialize + flush for every request, by construction.
   telemetry::Histogram* request_latency_us_;
   telemetry::Histogram* stage_queue_us_;
-  telemetry::Histogram* stage_lock_wait_us_;
   telemetry::Histogram* stage_execute_us_;
   telemetry::Histogram* stage_serialize_us_;
   telemetry::Histogram* stage_flush_us_;

@@ -106,10 +106,10 @@ class GsClass {
 /// §2C: classes can gain instance variables after instances exist, with
 /// no restructuring (instances store elements sparsely).
 ///
-/// Internally synchronized: the gateway's snapshot read path sends
-/// messages (method lookup, inst-var resolution) concurrently with schema
-/// mutation on the exclusive write path, so every lookup holds the shared
-/// lock and every mutation the exclusive one. GsClass pointers returned
+/// Internally synchronized: gateway sessions send messages (method
+/// lookup, inst-var resolution) concurrently with another session's
+/// schema mutation, so every lookup holds the shared lock and every
+/// mutation the exclusive one. GsClass pointers returned
 /// by Get/FindByName stay valid forever (classes are never erased), and a
 /// replaced method's handle is retired, not destroyed, so an interpreter
 /// mid-execution of the old version never dangles. Runtime method

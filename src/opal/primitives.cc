@@ -844,9 +844,9 @@ Result<Value> PrimClassInstVarNames(Interpreter& interp,
 }
 
 /// Schema mutation touches shared state outside the transaction
-/// workspace, so it may only run on the gateway's exclusive write path; a
-/// snapshot-pinned evaluation bounces with kReadOnlyRetry before mutating
-/// anything.
+/// workspace, so a snapshot-pinned evaluation bounces with kReadOnlyRetry
+/// before mutating anything: the gateway then reruns the whole request
+/// unpinned, and a side effect made before the bounce would run twice.
 Status RequireSchemaWritable(Interpreter& interp, const char* what) {
   if (interp.session().SnapshotPinned()) {
     return Status::ReadOnlyRetry(std::string(what) +

@@ -1,6 +1,7 @@
 #include "storage/storage_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <unordered_set>
 
@@ -72,44 +73,57 @@ Status StorageEngine::Open() {
   }
   epoch_ = adopted->epoch;
 
-  std::set<TrackId> used = {CommitManager::kRootSlotA,
-                            CommitManager::kRootSlotB};
-  for (const auto* pages : {&catalog_.leaves(), &catalog_.interiors()}) {
-    for (const auto& [key, ref] : *pages) {
-      used.insert(ref.tracks.begin(), ref.tracks.end());
+  // Every track starts free; the root slots and whatever the catalog's
+  // pages and extents occupy are taken back out.
+  const TrackId tracks = disk_->num_tracks();
+  free_bits_.assign((tracks + 63) / 64, ~std::uint64_t{0});
+  if (tracks % 64 != 0) {
+    free_bits_.back() = (std::uint64_t{1} << (tracks % 64)) - 1;
+  }
+  free_count_ = tracks;
+  const auto take = [this](const std::vector<TrackId>& used) {
+    for (TrackId t : used) {
+      const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+      if ((free_bits_[t / 64] & bit) == 0) continue;
+      free_bits_[t / 64] &= ~bit;
+      --free_count_;
     }
+  };
+  take({CommitManager::kRootSlotA, CommitManager::kRootSlotB});
+  for (const auto* pages : {&catalog_.leaves(), &catalog_.interiors()}) {
+    for (const auto& [key, ref] : *pages) take(ref.tracks);
   }
-  for (const auto& [oid, extent] : catalog_.entries()) {
-    used.insert(extent.tracks.begin(), extent.tracks.end());
-  }
-  free_tracks_.clear();
-  for (TrackId t = 0; t < disk_->num_tracks(); ++t) {
-    if (used.count(t) == 0) free_tracks_.insert(t);
-  }
+  for (const auto& [oid, extent] : catalog_.entries()) take(extent.tracks);
   open_ = true;
-  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.size()));
+  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_count_));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
   return Status::OK();
 }
 
 Result<std::vector<TrackId>> StorageEngine::Allocate(std::size_t n) {
-  if (free_tracks_.size() < n) {
+  if (free_count_ < n) {
     return Status::IoError("device full: need " + std::to_string(n) +
-                           " tracks, have " +
-                           std::to_string(free_tracks_.size()));
+                           " tracks, have " + std::to_string(free_count_));
   }
   std::vector<TrackId> out;
   out.reserve(n);
-  auto it = free_tracks_.begin();
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(*it);
-    it = free_tracks_.erase(it);
+  for (std::size_t w = 0; out.size() < n; ++w) {
+    for (std::uint64_t& word = free_bits_[w]; word != 0 && out.size() < n;
+         word &= word - 1) {
+      out.push_back(static_cast<TrackId>(w * 64 + std::countr_zero(word)));
+    }
   }
+  free_count_ -= n;
   return out;
 }
 
 void StorageEngine::Release(const std::vector<TrackId>& tracks) {
-  free_tracks_.insert(tracks.begin(), tracks.end());
+  for (TrackId t : tracks) {
+    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+    if ((free_bits_[t / 64] & bit) != 0) continue;
+    free_bits_[t / 64] |= bit;
+    ++free_count_;
+  }
 }
 
 Status StorageEngine::CommitObjects(
@@ -275,7 +289,7 @@ void StorageEngine::Adopt(PersistedCommit persisted) {
   commits_.Increment();
   objects_written_.Increment(persisted.objects);
   bytes_written_.Increment(persisted.bytes);
-  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.size()));
+  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_count_));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
 }
 

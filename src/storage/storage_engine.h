@@ -2,7 +2,6 @@
 #define GEMSTONE_STORAGE_STORAGE_ENGINE_H_
 
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -135,7 +134,7 @@ class StorageEngine {
   /// NoteHistoricalObjectAccess.
   double HistoricalHeatOf(Oid oid) const;
 
-  std::size_t free_track_count() const { return free_tracks_.size(); }
+  std::size_t free_track_count() const { return free_count_; }
 
  private:
   Result<std::vector<TrackId>> Allocate(std::size_t n);
@@ -147,7 +146,10 @@ class StorageEngine {
   bool open_ = false;
   std::uint64_t epoch_ = 0;
   Catalog catalog_;
-  std::set<TrackId> free_tracks_;
+  /// One bit per device track, set while the track is free. Allocate
+  /// hands out the lowest free tracks first, so placement is deterministic.
+  std::vector<std::uint64_t> free_bits_;
+  std::size_t free_count_ = 0;
 
   telemetry::Counter commits_;
   telemetry::Counter objects_written_;

@@ -27,8 +27,8 @@ enum class FlightEventKind : std::uint8_t {
   kNetConnClose,      // a = bytes in, b = bytes out; detail = reason
   kSlowRequest,       // a wire request exceeded the slow-request
                       // threshold; a = total us, b = seq; detail = the
-                      // per-stage breakdown (queue/lock_wait/execute/
-                      // serialize/flush) plus I/O tally
+                      // per-stage breakdown (queue/execute/serialize/
+                      // flush) plus I/O tally
   kArchive,           // object moved to archival media; a = raw oid,
                       // b = image bytes
   kRestore,           // object restored from archival media; a = raw oid,

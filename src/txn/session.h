@@ -60,16 +60,16 @@ class Session {
     return snapshot_.value_or(kTimeNow);
   }
 
-  // --- Snapshot pin (the gateway's lock-free read path) -----------------------
+  // --- Snapshot pin (the gateway's query path) ------------------------------
   //
   // Pinning behaves like a transient time dial at SafeTime: every read
   // resolves against the pinned committed state (so it records nothing in
   // the read set and never consults the workspace), and every side effect
   // — object writes, creates, global assignment, schema or directory
   // mutation — fails with kReadOnlyRetry instead of executing. The
-  // gateway pins before running a request optimistically outside the
-  // executor lock; a retry status means "this block writes after all",
-  // and the request reruns on the exclusive path.
+  // gateway pins a query optimistically; a retry status means "this
+  // block writes after all", and the gateway unpins and reruns the
+  // request in place.
   //
   // Only pin a session whose transaction is fresh (nothing read at now,
   // nothing written or created): pinned reads escape commit-time
@@ -80,10 +80,10 @@ class Session {
   void UnpinSnapshot() { snapshot_.reset(); }
   bool SnapshotPinned() const { return snapshot_.has_value(); }
 
-  /// True when the session can serve a request on the snapshot read path:
-  /// the dial already fixes an immutable view, there is no active
-  /// transaction (reads will fail identically on either path), or the
-  /// transaction has recorded no accesses yet.
+  /// True when the session can serve a query on a snapshot: the dial
+  /// already fixes an immutable view, there is no active transaction
+  /// (reads fail identically pinned or not), or the transaction has
+  /// recorded no accesses yet.
   bool SnapshotReadEligible() const {
     if (dial_.has_value()) return true;
     if (txn_ == nullptr || !txn_->active()) return true;

@@ -28,7 +28,7 @@ TEST(LockOrderStressTest, ReadMixKeepsAcquisitionGraphAcyclic) {
   // The production lattice in miniature, ranked exactly as src/ declares.
   Mutex conn_table{LockRank::kNetConnTable, "stress.conn_table"};
   Mutex conn{LockRank::kNetConnection, "stress.conn"};
-  Mutex executor{LockRank::kNetExecutor, "stress.executor"};
+  Mutex commit{LockRank::kTxnCommit, "stress.commit"};
   SharedMutex store{LockRank::kTxnStore, "stress.store"};
   Mutex memory{LockRank::kObjectMemory, "stress.memory"};
   Mutex metrics{LockRank::kTelemetryMetrics, "stress.metrics"};
@@ -54,11 +54,11 @@ TEST(LockOrderStressTest, ReadMixKeepsAcquisitionGraphAcyclic) {
           MutexLock stats(metrics);
           reads.fetch_add(1, std::memory_order_relaxed);
         } else {
-          // ~10%: the write path — the full gateway chain, outermost
-          // first, store exclusive.
+          // ~10%: the write path — every rank in lattice order, with a
+          // commit's commit_mu_ -> store_mu_ (exclusive) chain inside.
           MutexLock table(conn_table);
           MutexLock c(conn);
-          MutexLock ex(executor);
+          MutexLock pipeline(commit);
           WriterMutexLock w(store);
           MutexLock m(memory);
           ++shared_counter;

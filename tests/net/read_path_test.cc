@@ -1,11 +1,13 @@
-// Snapshot read-path tests (DESIGN.md §12): read-shaped requests execute
-// without the executor lock, so they complete while a writer is stalled
-// inside it; a request that turns out to write retries on the exclusive
-// path transparently; and a connection that dies mid-request still gets
-// its session (and uncommitted transaction) torn down.
+// Gateway dispatch tests (DESIGN.md §12): requests of different
+// connections run side by side under no gateway lock. Queries complete
+// while a writer is busy executing; two writers execute at once and meet
+// only at commit validation; a query that turns out to write bounces off
+// its snapshot pin and reruns unpinned, invisibly to the client; and a
+// connection that dies mid-request still gets its session (and
+// uncommitted transaction) torn down.
 //
 // Runs in the `tsan` tree: the whole point is concurrent execution of
-// reads against a mutating session.
+// reads and writes against mutating sessions.
 
 #include <gtest/gtest.h>
 
@@ -66,10 +68,20 @@ class ReadPathTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
+constexpr const char* kOpalExecuting =
+    "\"stage\":\"execute\",\"type\":\"ExecuteOpal\"";
+
 /// An ExecuteOpal request is in its execute stage somewhere on the page.
 bool OpalExecuting(const std::string& json) {
-  return json.find("\"stage\":\"execute\",\"type\":\"ExecuteOpal\"") !=
-         std::string::npos;
+  return json.find(kOpalExecuting) != std::string::npos;
+}
+
+/// Two connections' ExecuteOpal requests are in their execute stage at
+/// the moment the page was rendered.
+bool TwoOpalsExecuting(const std::string& json) {
+  const auto first = json.find(kOpalExecuting);
+  return first != std::string::npos &&
+         json.find(kOpalExecuting, first + 1) != std::string::npos;
 }
 
 TEST_F(ReadPathTest, ReadsDoNotBlockBehindAStalledWriter) {
@@ -84,9 +96,8 @@ TEST_F(ReadPathTest, ReadsDoNotBlockBehindAStalledWriter) {
   ASSERT_TRUE(setup.Commit().ok());
   setup.Close();
 
-  // The writer records a write first (making its session ineligible for
-  // the read path), then stalls inside the executor lock on a long
-  // mutating loop.
+  // The writer records a write first (so its queries run unpinned), then
+  // runs a long mutating loop.
   Client writer = Connected();
   ASSERT_TRUE(writer.Login().ok());
   ASSERT_TRUE(writer.Execute("W := Object new").ok());
@@ -103,8 +114,8 @@ TEST_F(ReadPathTest, ReadsDoNotBlockBehindAStalledWriter) {
   std::string page = WaitForStatus(&monitor, OpalExecuting);
   ASSERT_TRUE(OpalExecuting(page)) << page;
 
-  // Reads complete while the writer still holds the exclusive path. If
-  // they queued behind the lock this would deadline out instead.
+  // Reads complete while the writer is still executing. If they queued
+  // behind it this would deadline out instead.
   Client reader = Connected();
   ASSERT_TRUE(reader.Login().ok());
   for (int i = 0; i < 10; ++i) {
@@ -115,8 +126,8 @@ TEST_F(ReadPathTest, ReadsDoNotBlockBehindAStalledWriter) {
 
   page = monitor.Statusz().ValueOrDie();
   if (!writer_done.load(std::memory_order_acquire)) {
-    // The reads overlapped the writer's execution and were served on the
-    // snapshot read path, not under the lock.
+    // The reads overlapped the writer's execution and were served on a
+    // snapshot pin.
     EXPECT_TRUE(OpalExecuting(page)) << page;
   }
   EXPECT_GE(JsonCounter(page, "read_path_requests"), 10u) << page;
@@ -133,9 +144,9 @@ TEST_F(ReadPathTest, WritingRequestRetriesOnTheExclusivePath) {
   Client client = Connected();
   ASSERT_TRUE(client.Login().ok());
 
-  // A fresh session is read-path eligible, so this write-shaped block is
-  // tried there first, bounces with kReadOnlyRetry, and reruns under the
-  // lock — invisibly to the client.
+  // A fresh session's query runs pinned, so this write-shaped block
+  // bounces with kReadOnlyRetry and reruns unpinned on the same worker —
+  // invisibly to the client.
   ASSERT_TRUE(
       client.Execute("Obj := Object new. Obj instVarNamed: 'n' put: 5")
           .ok());
@@ -145,10 +156,115 @@ TEST_F(ReadPathTest, WritingRequestRetriesOnTheExclusivePath) {
   Client monitor = Connected();
   const std::string page = monitor.Statusz().ValueOrDie();
   EXPECT_GE(JsonCounter(page, "read_path_retries"), 1u) << page;
-  // The retry also counts as a read-path attempt.
+  // The bounced attempt also counts as a snapshot query.
   EXPECT_GE(JsonCounter(page, "read_path_requests"),
             JsonCounter(page, "read_path_retries"))
       << page;
+}
+
+TEST_F(ReadPathTest, TwoWritersExecuteAtOnce) {
+  StartServer();
+
+  Client setup = Connected();
+  ASSERT_TRUE(setup.Login().ok());
+  ASSERT_TRUE(setup.Execute("Shared := Object new. "
+                            "Shared instVarNamed: 'v' put: 0. "
+                            "Object subclass: 'Gadget' instVarNames: #('n'). "
+                            "Gadget compileMethod: 'n ^n'. "
+                            "Gadget compileMethod: 'n: x n := x'")
+                  .ok());
+  ASSERT_TRUE(setup.Commit().ok());
+
+  // Each writer records a write first, so its queries run unpinned.
+  Client a = Connected();
+  Client b = Connected();
+  ASSERT_TRUE(a.Login().ok());
+  ASSERT_TRUE(b.Login().ok());
+  ASSERT_TRUE(a.Execute("WA := Object new").ok());
+  ASSERT_TRUE(b.Execute("WB := Object new").ok());
+
+  const auto loop = [](Client* client, const char* target) {
+    auto result = client->Execute(std::string("1 to: 200000 do: [:i | ") +
+                                  target +
+                                  " instVarNamed: 'v' put: i]. 'done'");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  };
+  std::thread ta(loop, &a, "WA");
+  std::thread tb(loop, &b, "WB");
+  // Both writers are inside their execute stage at the same moment: no
+  // gateway lock makes the second wait for the first.
+  Client monitor = Connected();
+  const std::string page = WaitForStatus(&monitor, TwoOpalsExecuting);
+  ta.join();
+  tb.join();
+  ASSERT_TRUE(TwoOpalsExecuting(page)) << page;
+
+  // Disjoint objects: both commits succeed.
+  ASSERT_TRUE(a.Commit().ok());
+  ASSERT_TRUE(b.Commit().ok());
+  ASSERT_TRUE(monitor.Login().ok());
+  EXPECT_EQ(monitor.Execute("WA instVarNamed: 'v'").ValueOrDie(), "200000");
+  EXPECT_EQ(monitor.Execute("WB instVarNamed: 'v'").ValueOrDie(), "200000");
+
+  // The same object: both write it concurrently, then commit at once.
+  // Exactly one commit wins; the other gets a conflict error frame and
+  // its connection keeps working.
+  ASSERT_TRUE(a.Begin().ok());
+  ASSERT_TRUE(b.Begin().ok());
+  std::thread sa(loop, &a, "Shared");
+  std::thread sb(loop, &b, "Shared");
+  sa.join();
+  sb.join();
+  Result<std::uint64_t> commit_a = Status::Internal("not run");
+  Result<std::uint64_t> commit_b = Status::Internal("not run");
+  std::thread ca([&] { commit_a = a.Commit(); });
+  std::thread cb([&] { commit_b = b.Commit(); });
+  ca.join();
+  cb.join();
+  EXPECT_NE(commit_a.ok(), commit_b.ok())
+      << commit_a.status().ToString() << " / " << commit_b.status().ToString();
+  Client& loser = commit_a.ok() ? b : a;
+  const Status lost = commit_a.ok() ? commit_b.status() : commit_a.status();
+  EXPECT_TRUE(lost.IsTransactionConflict()) << lost.ToString();
+  ASSERT_TRUE(loser.Begin().ok());
+  EXPECT_EQ(loser.Execute("Shared instVarNamed: 'v'").ValueOrDie(), "200000");
+
+  // Schema mutation on one connection while another creates instances of
+  // the class and sends to them, including the methods being recompiled.
+  Client schema = Connected();
+  Client user = Connected();
+  ASSERT_TRUE(schema.Login().ok());
+  ASSERT_TRUE(user.Login().ok());
+  constexpr int kRounds = 20;
+  std::thread mutator([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      const std::string n = std::to_string(i);
+      for (const std::string& block :
+           {"Gadget subclass: 'Gadget" + n + "' instVarNames: #()",
+            std::string("Gadget compileMethod: 'n: x n := x'"),
+            "Gadget addInstVarName: 'extra" + n + "'"}) {
+        auto result = schema.Execute(block);
+        EXPECT_TRUE(result.ok()) << block << ": " << result.status().ToString();
+      }
+    }
+  });
+  std::thread sender([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      auto result = user.Execute(
+          "| g sum | sum := 0. 1 to: 2000 do: [:i | g := Gadget new. "
+          "g n: i. sum := sum + g n]. sum");
+      EXPECT_EQ(result.ok() ? result.value() : result.status().ToString(),
+                "2001000");
+    }
+  });
+  mutator.join();
+  sender.join();
+  EXPECT_EQ(user.Execute("Gadget19 superclass name").ValueOrDie(),
+            "'Gadget'");
+  EXPECT_EQ(user.Execute("| g | g := Gadget19 new. g instVarNamed: 'extra19' "
+                         "put: 3. g n: 4. g n + (g instVarNamed: 'extra19')")
+                .ValueOrDie(),
+            "7");
 }
 
 class StdmReadPathTest : public ReadPathTest {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "storage/serializer.h"
 
 namespace gemstone::storage {
@@ -80,6 +83,35 @@ TEST_F(StorageEngineTest, ReopenRecoversCatalog) {
   auto loaded = recovered.LoadObject(Oid(101), &fresh).ValueOrDie();
   EXPECT_EQ(*loaded.ReadNamed(fresh.Lookup("name"), kTimeNow),
             Value::String("Robert"));
+
+  // Allocate -> release -> reopen: a recommit frees the tracks the old
+  // image held, and a reopen rebuilds exactly the free map the running
+  // engine kept, which hands out the lowest free track first.
+  GsObject a2 = a;
+  a2.WriteNamed(symbols_.Intern("salary"), 3, Value::Integer(26000));
+  ASSERT_TRUE(recovered.CommitObjects({&a2}, symbols_).ok());
+  StorageEngine reopened(&disk_);
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.free_track_count(), recovered.free_track_count());
+  std::vector<bool> used(disk_.num_tracks(), false);
+  used[CommitManager::kRootSlotA] = used[CommitManager::kRootSlotB] = true;
+  for (const auto* pages :
+       {&reopened.catalog().leaves(), &reopened.catalog().interiors()}) {
+    for (const auto& [key, ref] : *pages) {
+      for (TrackId t : ref.tracks) used[t] = true;
+    }
+  }
+  for (const auto& [oid, extent] : reopened.catalog().entries()) {
+    for (TrackId t : extent.tracks) used[t] = true;
+  }
+  const auto lowest_free = static_cast<TrackId>(
+      std::find(used.begin(), used.end(), false) - used.begin());
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(used.begin(), used.end(), false)),
+            reopened.free_track_count());
+  GsObject c = MakeEmployee(102, "Ken", 23000, 4);
+  ASSERT_TRUE(reopened.CommitObjects({&c}, symbols_).ok());
+  EXPECT_EQ(reopened.catalog().Find(Oid(102))->tracks.front(), lowest_free);
 }
 
 TEST_F(StorageEngineTest, LargeObjectSpansTracksAndRoundTrips) {

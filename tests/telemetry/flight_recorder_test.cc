@@ -187,12 +187,12 @@ TEST(FlightRecorderTest, DumpJsonOfKindFiltersToOneKind) {
   FlightRecorder recorder(8);
   recorder.Record(FlightEventKind::kTxnCommit, 1, 0, 0, "");
   recorder.Record(FlightEventKind::kSlowRequest, 1, 500, 7,
-                  "queue=1us lock_wait=2us");
+                  "queue=1us execute=2us");
   recorder.Record(FlightEventKind::kTxnAbort, 1, 0, 0, "");
   const std::string dump =
       recorder.DumpJsonOfKind(FlightEventKind::kSlowRequest);
   EXPECT_NE(dump.find("\"slow_request\""), std::string::npos);
-  EXPECT_NE(dump.find("lock_wait=2us"), std::string::npos);
+  EXPECT_NE(dump.find("execute=2us"), std::string::npos);
   EXPECT_EQ(dump.find("txn_commit"), std::string::npos);
   EXPECT_EQ(dump.find("txn_abort"), std::string::npos);
 }

@@ -106,8 +106,8 @@ GUARD_RE = re.compile(
 # breaks the argument even if today's call graph happens not to.
 TIER_FILES_RE = re.compile(r"src/storage/tier/[^/]+\.(?:h|cc)$")
 TIER_RANK_RE = re.compile(
-    r"\bLockRank::k(?:NetConnTable|NetConnection|NetExecutor|"
-    r"ExecutorSessions|OpalGlobals)\b"
+    r"\bLockRank::k(?:NetConnTable|NetConnection|ExecutorSessions|"
+    r"OpalGlobals)\b"
 )
 TIER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"((?:net|executor|opal)/[^"]*)"')
 

@@ -6,7 +6,7 @@ namespace gemstone::storage::tier {
 
 class BadCompactor {
   // Upper-lattice rank inside tier code: the seeded violation.
-  Mutex mu_{LockRank::kNetExecutor, "tier.bad_compactor_mu"};
+  Mutex mu_{LockRank::kExecutorSessions, "tier.bad_compactor_mu"};
 };
 
 }  // namespace gemstone::storage::tier
