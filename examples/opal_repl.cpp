@@ -15,13 +15,14 @@
 //   :stats prom  the same snapshot in Prometheus text format
 //   :spans       recent trace spans (most recent last) + drop count
 //   :trace             index of request traces in the span ring
-//   :trace <id>        one request as Chrome trace-event JSON (Perfetto)
-//   :trace all         the whole span ring in the same format
+//   :trace <id>        one request's spans and events as Chrome
+//                      trace-event JSON (Perfetto)
+//   :trace all         both rings in the same format
 //   :profile on|off|reset      toggle / clear the execution profiler
 //   :profile [json]            hot selectors and call edges
 //   :explain <query>           set-algebra plan for a §5.1 calculus query
 //   :explain analyze <query>   the plan, executed and annotated
-//   :flightrec [json]          dump the flight recorder ring
+//   :flightrec [json]          dump the event ring (the flight recorder)
 //   :flightrec arm <path>      auto-dump to <path> on abort/conflict/fault
 //   :slowlog                   slow-request events only (JSON)
 //   :admin <port>              serve /metrics /flightrec /slowlog /healthz
@@ -37,7 +38,6 @@
 #include "executor/error_format.h"
 #include "executor/executor.h"
 #include "telemetry/export.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/profiler.h"
 #include "telemetry/trace.h"
@@ -80,26 +80,29 @@ int main() {
       continue;
     }
     if (line == ":spans") {
-      auto& buffer = gemstone::telemetry::TraceBuffer::Global();
-      for (const auto& span : buffer.Snapshot()) {
+      auto& ring = gemstone::telemetry::TraceRing::Spans();
+      for (const auto& span : ring.Snapshot()) {
         std::cout << std::string(span.depth * 2, ' ') << span.name << " "
                   << span.duration_ns / 1000 << "us\n";
       }
-      std::cout << "(" << buffer.total_recorded() << " recorded, "
-                << buffer.dropped() << " dropped by ring wrap)\n";
+      std::cout << "(" << ring.total_recorded() << " recorded, "
+                << ring.dropped() << " dropped by ring wrap)\n";
       continue;
     }
     if (line.rfind(":trace", 0) == 0) {
-      const auto spans = gemstone::telemetry::TraceBuffer::Global().Snapshot();
       std::string arg = line.size() > 6 ? line.substr(7) : "";
       while (!arg.empty() && arg.front() == ' ') arg.erase(0, 1);
       if (arg.empty()) {
-        std::cout << gemstone::telemetry::TraceIndexJson(spans, 64) << "\n";
-      } else if (arg == "all") {
-        std::cout << gemstone::telemetry::TraceEventsJson(spans, 0) << "\n";
+        std::cout << gemstone::telemetry::TraceIndexJson(
+                         gemstone::telemetry::TraceRing::Spans().Snapshot(),
+                         64)
+                  << "\n";
       } else {
-        const std::uint64_t id = std::strtoull(arg.c_str(), nullptr, 10);
-        std::cout << gemstone::telemetry::TraceEventsJson(spans, id) << "\n";
+        const std::uint64_t id =
+            arg == "all" ? 0 : std::strtoull(arg.c_str(), nullptr, 10);
+        std::cout << gemstone::telemetry::TraceEventsJson(
+                         gemstone::telemetry::TraceSnapshot(), id)
+                  << "\n";
       }
       continue;
     }
@@ -146,32 +149,31 @@ int main() {
       continue;
     }
     if (line.rfind(":flightrec", 0) == 0) {
-      auto& recorder = gemstone::telemetry::FlightRecorder::Global();
+      auto& events = gemstone::telemetry::TraceRing::Events();
       const std::string arg = line.size() > 10 ? line.substr(11) : "";
       if (arg.rfind("arm ", 0) == 0) {
-        recorder.SetAutoDumpPath(arg.substr(4));
-        std::cout << "flight recorder armed: " << recorder.auto_dump_path()
-                  << "\n";
+        gemstone::telemetry::SetAutoDumpPath(arg.substr(4));
+        std::cout << "flight recorder armed: "
+                  << gemstone::telemetry::AutoDumpPath() << "\n";
       } else if (arg == "json") {
-        std::cout << recorder.DumpJson() << "\n";
+        std::cout << gemstone::telemetry::EventsJson(events) << "\n";
       } else {
-        for (const auto& event : recorder.Snapshot()) {
-          std::cout << "#" << event.seq << " "
-                    << gemstone::telemetry::FlightEventKindName(event.kind)
+        for (const auto& event : events.Snapshot()) {
+          std::cout << "#" << event.seq << " " << event.name
                     << " session=" << event.session << " a=" << event.a
                     << " b=" << event.b
                     << (event.detail.empty() ? "" : " " + event.detail)
                     << "\n";
         }
-        std::cout << "(" << recorder.total_recorded() << " recorded, ring "
-                  << recorder.capacity() << ")\n";
+        std::cout << "(" << events.total_recorded() << " recorded, ring "
+                  << events.capacity() << ")\n";
       }
       continue;
     }
     if (line == ":slowlog") {
-      std::cout << gemstone::telemetry::FlightRecorder::Global()
-                       .DumpJsonOfKind(
-                           gemstone::telemetry::FlightEventKind::kSlowRequest)
+      std::cout << gemstone::telemetry::EventsJson(
+                       gemstone::telemetry::TraceRing::Events(), 0,
+                       gemstone::telemetry::TraceKind::kSlowRequest)
                 << "\n";
       continue;
     }
@@ -189,11 +191,13 @@ int main() {
             gemstone::telemetry::MetricsRegistry::Global().Snapshot());
       });
       admin.AddRoute("/flightrec", "application/json", [] {
-        return gemstone::telemetry::FlightRecorder::Global().DumpJson();
+        return gemstone::telemetry::EventsJson(
+            gemstone::telemetry::TraceRing::Events());
       });
       admin.AddRoute("/slowlog", "application/json", [] {
-        return gemstone::telemetry::FlightRecorder::Global().DumpJsonOfKind(
-            gemstone::telemetry::FlightEventKind::kSlowRequest);
+        return gemstone::telemetry::EventsJson(
+            gemstone::telemetry::TraceRing::Events(), 0,
+            gemstone::telemetry::TraceKind::kSlowRequest);
       });
       admin.AddRoute("/healthz", "text/plain", [] { return "ok\n"; });
       const gemstone::Status started = admin.Start();

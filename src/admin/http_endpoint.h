@@ -37,8 +37,8 @@ struct HttpEndpointOptions {
 /// The intended wiring (tools/gemstone_serve.cc):
 ///   GET /metrics   → telemetry::ToPrometheus(registry snapshot)
 ///   GET /statusz   → net::Server::StatusJson()
-///   GET /flightrec → telemetry::FlightRecorder::DumpJson()
-///   GET /slowlog   → DumpJsonOfKind(kSlowRequest)
+///   GET /flightrec → telemetry::EventsJson(TraceRing::Events())
+///   GET /slowlog   → the same, restricted to kSlowRequest
 ///   GET /healthz   → "ok"
 class HttpEndpoint {
  public:

@@ -25,10 +25,9 @@ std::string_view LockRankName(LockRank rank) {
     case LockRank::kStorageHeatmap: return "storage.heatmap";
     case LockRank::kTelemetryObservatory: return "telemetry.observatory";
     case LockRank::kTelemetryMetrics: return "telemetry.metrics";
-    case LockRank::kTelemetryTrace: return "telemetry.trace";
     case LockRank::kTelemetryProfiler: return "telemetry.profiler";
-    case LockRank::kFlightRecorderSlot: return "telemetry.flightrec_slot";
-    case LockRank::kFlightRecorderConfig: return "telemetry.flightrec_config";
+    case LockRank::kTelemetryTrace: return "telemetry.trace";
+    case LockRank::kTelemetryAutoDump: return "telemetry.auto_dump";
     case LockRank::kLeaf: return "leaf";
     case LockRank::kRankCount: break;
   }

@@ -78,10 +78,9 @@ enum class LockRank : std::uint8_t {
   kTelemetryObservatory,  // telemetry::Observatory::mu_ (the ring; never
                           // held while sampling the registry)
   kTelemetryMetrics,   // telemetry::MetricsRegistry::mu_
-  kTelemetryTrace,     // telemetry::TraceBuffer::mu_
   kTelemetryProfiler,  // telemetry::Profiler::mu_
-  kFlightRecorderSlot,    // telemetry::FlightRecorder::Slot::mu
-  kFlightRecorderConfig,  // telemetry::FlightRecorder::config_mu_
+  kTelemetryTrace,     // telemetry::TraceRing::Slot::mu (one at a time)
+  kTelemetryAutoDump,  // the event auto-dump path (telemetry/trace.cc)
   // -- Unconstrained leaf ----------------------------------------------------
   // For mutexes with no lock-graph neighbors (test fixtures, tools). A
   // kLeaf section must not acquire anything, kLeaf included.

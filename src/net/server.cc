@@ -18,7 +18,6 @@
 
 #include "executor/error_format.h"
 #include "telemetry/export.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/io_attribution.h"
 #include "telemetry/observatory.h"
 #include "telemetry/trace.h"
@@ -425,8 +424,8 @@ void Server::AcceptReady() {
     }
     accepted_->Increment();
     connections_gauge_->Add(1);
-    telemetry::FlightRecorder::Global().Record(
-        telemetry::FlightEventKind::kNetConnOpen, 0, conn->id, 0, "");
+    telemetry::RecordEvent(telemetry::TraceKind::kNetConnOpen, 0, conn->id,
+                           0, "");
   }
 }
 
@@ -567,8 +566,8 @@ void Server::CompleteFlushes(Connection* conn, std::uint64_t now_ns) {
       // Bind the request's trace id so the event carries it — the flush
       // completes on the event-loop thread, outside the dispatch scope.
       telemetry::TraceContextScope trace(pf.trace_id);
-      telemetry::FlightRecorder::Global().Record(
-          telemetry::FlightEventKind::kSlowRequest,
+      telemetry::RecordEvent(
+          telemetry::TraceKind::kSlowRequest,
           conn->session.load(std::memory_order_relaxed), total_us, pf.seq,
           detail.str());
     }
@@ -650,8 +649,8 @@ void Server::ReapDeadConnections() {
       (void)executor_->Logout(session);
     }
     connections_gauge_->Add(-1);
-    telemetry::FlightRecorder::Global().Record(
-        telemetry::FlightEventKind::kNetConnClose, session,
+    telemetry::RecordEvent(
+        telemetry::TraceKind::kNetConnClose, session,
         r.conn->bytes_in.load(std::memory_order_relaxed),
         r.conn->bytes_out.load(std::memory_order_relaxed), r.reason);
   }

@@ -63,8 +63,9 @@ struct ServerOptions {
   std::uint64_t request_timeout_ms = 0;
 
   /// Requests whose end-to-end latency (socket read to response flush)
-  /// meets this emit a kSlowRequest flight-recorder event carrying the
-  /// full stage breakdown and trace id. 0 disables.
+  /// meets this record a kSlowRequest event in the event ring (the slow
+  /// log, /slowlog) carrying the full stage breakdown and trace id. 0
+  /// disables. Spans have their own fixed bar, ScopedSpan::kSlowOpNs.
   std::uint64_t slow_request_us = 100'000;
 };
 

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "storage/serializer.h"
-#include "telemetry/flight_recorder.h"
+#include "telemetry/trace.h"
 
 namespace gemstone::storage {
 
@@ -35,8 +35,8 @@ Status ArchivalStore::Archive(ObjectMemory* memory, Oid oid) {
   images_[oid.raw] = std::move(image);
   archives_.Increment();
   SyncMirrors();
-  telemetry::FlightRecorder::Global().Record(
-      telemetry::FlightEventKind::kArchive, 0, oid.raw, image_bytes, "");
+  telemetry::RecordEvent(telemetry::TraceKind::kArchive, 0, oid.raw,
+                         image_bytes, "");
   return Status::OK();
 }
 
@@ -53,8 +53,8 @@ Status ArchivalStore::Restore(ObjectMemory* memory, Oid oid) {
   images_.erase(it);
   restores_.Increment();
   SyncMirrors();
-  telemetry::FlightRecorder::Global().Record(
-      telemetry::FlightEventKind::kRestore, 0, oid.raw, image_bytes, "");
+  telemetry::RecordEvent(telemetry::TraceKind::kRestore, 0, oid.raw,
+                         image_bytes, "");
   return Status::OK();
 }
 

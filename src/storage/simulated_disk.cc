@@ -1,6 +1,6 @@
 #include "storage/simulated_disk.h"
 
-#include "telemetry/flight_recorder.h"
+#include "telemetry/trace.h"
 #include "telemetry/io_attribution.h"
 
 namespace gemstone::storage {
@@ -53,9 +53,8 @@ Result<std::vector<std::uint8_t>> SimulatedDisk::ReadTrack(
                               " beyond device end");
   }
   if (read_faults_.count(track) != 0) {
-    telemetry::FlightRecorder::Global().Record(
-        telemetry::FlightEventKind::kStorageFault, 0, track, 0,
-        "injected read fault");
+    telemetry::RecordEvent(telemetry::TraceKind::kStorageFault, 0, track, 0,
+                           "injected read fault");
     return Status::IoError("injected read fault at track " +
                            std::to_string(track));
   }
@@ -96,15 +95,13 @@ Status SimulatedDisk::WriteTrack(TrackId track,
         ++telemetry::ThreadIoTally().tracks_written;
         heatmap_.RecordWrite(track, telemetry::ThreadAccessIsHistorical());
         tracks_[track].assign(data.begin(), data.end());
-        telemetry::FlightRecorder::Global().Record(
-            telemetry::FlightEventKind::kStorageFault, 0, track, 0,
-            "injected torn write");
+        telemetry::RecordEvent(telemetry::TraceKind::kStorageFault, 0, track,
+                               0, "injected torn write");
         return Status::IoError("injected torn write at track " +
                                std::to_string(track));
       }
-      telemetry::FlightRecorder::Global().Record(
-          telemetry::FlightEventKind::kStorageFault, 0, track, 0,
-          "injected write fault");
+      telemetry::RecordEvent(telemetry::TraceKind::kStorageFault, 0, track,
+                             0, "injected write fault");
       return Status::IoError("injected write fault at track " +
                              std::to_string(track));
     }

@@ -1,12 +1,10 @@
 #include "storage/storage_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <unordered_set>
 
 #include "storage/serializer.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/trace.h"
 
 namespace gemstone::storage {
@@ -58,9 +56,8 @@ Status StorageEngine::Open() {
     auto loaded = Catalog::Load(commit_manager_, root);
     if (!loaded.ok()) {
       recovery_fallbacks_.Increment();
-      telemetry::FlightRecorder::Global().Record(
-          telemetry::FlightEventKind::kRecoveryFallback, 0, root.epoch, 0,
-          loaded.status().message());
+      telemetry::RecordEvent(telemetry::TraceKind::kRecoveryFallback, 0,
+                             root.epoch, 0, loaded.status().message());
       last_error = loaded.status();
       continue;
     }
@@ -75,55 +72,18 @@ Status StorageEngine::Open() {
 
   // Every track starts free; the root slots and whatever the catalog's
   // pages and extents occupy are taken back out.
-  const TrackId tracks = disk_->num_tracks();
-  free_bits_.assign((tracks + 63) / 64, ~std::uint64_t{0});
-  if (tracks % 64 != 0) {
-    free_bits_.back() = (std::uint64_t{1} << (tracks % 64)) - 1;
-  }
-  free_count_ = tracks;
-  const auto take = [this](const std::vector<TrackId>& used) {
-    for (TrackId t : used) {
-      const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-      if ((free_bits_[t / 64] & bit) == 0) continue;
-      free_bits_[t / 64] &= ~bit;
-      --free_count_;
-    }
-  };
-  take({CommitManager::kRootSlotA, CommitManager::kRootSlotB});
+  free_tracks_.Reset(disk_->num_tracks());
+  free_tracks_.Take({CommitManager::kRootSlotA, CommitManager::kRootSlotB});
   for (const auto* pages : {&catalog_.leaves(), &catalog_.interiors()}) {
-    for (const auto& [key, ref] : *pages) take(ref.tracks);
+    for (const auto& [key, ref] : *pages) free_tracks_.Take(ref.tracks);
   }
-  for (const auto& [oid, extent] : catalog_.entries()) take(extent.tracks);
+  for (const auto& [oid, extent] : catalog_.entries()) {
+    free_tracks_.Take(extent.tracks);
+  }
   open_ = true;
-  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_count_));
+  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.count()));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
   return Status::OK();
-}
-
-Result<std::vector<TrackId>> StorageEngine::Allocate(std::size_t n) {
-  if (free_count_ < n) {
-    return Status::IoError("device full: need " + std::to_string(n) +
-                           " tracks, have " + std::to_string(free_count_));
-  }
-  std::vector<TrackId> out;
-  out.reserve(n);
-  for (std::size_t w = 0; out.size() < n; ++w) {
-    for (std::uint64_t& word = free_bits_[w]; word != 0 && out.size() < n;
-         word &= word - 1) {
-      out.push_back(static_cast<TrackId>(w * 64 + std::countr_zero(word)));
-    }
-  }
-  free_count_ -= n;
-  return out;
-}
-
-void StorageEngine::Release(const std::vector<TrackId>& tracks) {
-  for (TrackId t : tracks) {
-    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-    if ((free_bits_[t / 64] & bit) != 0) continue;
-    free_bits_[t / 64] |= bit;
-    ++free_count_;
-  }
 }
 
 Status StorageEngine::CommitObjects(
@@ -195,11 +155,11 @@ Result<StorageEngine::PersistedCommit> StorageEngine::Persist(
   }
   // 2. Allocate shadow tracks for the data.
   GS_ASSIGN_OR_RETURN(std::vector<TrackId> data_tracks,
-                      Allocate(boxing.payloads.size()));
+                      free_tracks_.Allocate(boxing.payloads.size(), "device"));
   std::vector<TrackId> page_tracks;
   auto release_all = [&] {
-    Release(data_tracks);
-    Release(page_tracks);
+    free_tracks_.Release(data_tracks);
+    free_tracks_.Release(page_tracks);
   };
   // 3. The changed extents, ascending by oid: the new images, and each
   // carried neighbour with its vacated tracks swapped for fresh ones (its
@@ -246,7 +206,8 @@ Result<StorageEngine::PersistedCommit> StorageEngine::Persist(
     auto link = Linker::Link(
         catalog_, changed, commit_manager_,
         [&](std::size_t n) -> Result<std::vector<TrackId>> {
-          GS_ASSIGN_OR_RETURN(std::vector<TrackId> tracks, Allocate(n));
+          GS_ASSIGN_OR_RETURN(std::vector<TrackId> tracks,
+                              free_tracks_.Allocate(n, "device"));
           page_tracks.insert(page_tracks.end(), tracks.begin(), tracks.end());
           return tracks;
         });
@@ -282,14 +243,14 @@ void StorageEngine::Adopt(PersistedCommit persisted) {
   // The group is durable: adopt the new catalog pages and free what the
   // new root no longer reaches — the vacated data tracks (every live
   // fragment on them moved) and the superseded pages.
-  Release(persisted.vacated);
-  Release(persisted.linked.superseded);
+  free_tracks_.Release(persisted.vacated);
+  free_tracks_.Release(persisted.linked.superseded);
   Linker::Apply(&catalog_, persisted.changed, std::move(persisted.linked));
   ++epoch_;
   commits_.Increment();
   objects_written_.Increment(persisted.objects);
   bytes_written_.Increment(persisted.bytes);
-  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_count_));
+  free_tracks_gauge_.Set(static_cast<std::int64_t>(free_tracks_.count()));
   epoch_gauge_.Set(static_cast<std::int64_t>(epoch_));
 }
 

@@ -10,6 +10,7 @@
 #include "object/symbol_table.h"
 #include "storage/boxer.h"
 #include "storage/commit_manager.h"
+#include "storage/free_track_map.h"
 #include "storage/linker.h"
 #include "storage/simulated_disk.h"
 #include "telemetry/metrics.h"
@@ -134,11 +135,9 @@ class StorageEngine {
   /// NoteHistoricalObjectAccess.
   double HistoricalHeatOf(Oid oid) const;
 
-  std::size_t free_track_count() const { return free_count_; }
+  std::size_t free_track_count() const { return free_tracks_.count(); }
 
  private:
-  Result<std::vector<TrackId>> Allocate(std::size_t n);
-  void Release(const std::vector<TrackId>& tracks);
 
   SimulatedDisk* disk_;
   CommitManager commit_manager_;
@@ -146,10 +145,7 @@ class StorageEngine {
   bool open_ = false;
   std::uint64_t epoch_ = 0;
   Catalog catalog_;
-  /// One bit per device track, set while the track is free. Allocate
-  /// hands out the lowest free tracks first, so placement is deterministic.
-  std::vector<std::uint64_t> free_bits_;
-  std::size_t free_count_ = 0;
+  FreeTrackMap free_tracks_;
 
   telemetry::Counter commits_;
   telemetry::Counter objects_written_;

@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/flight_recorder.h"
+#include "telemetry/trace.h"
 
 namespace gemstone::storage::tier {
 
@@ -112,9 +112,9 @@ Result<std::size_t> TierCompactor::RunOncePass() {
     ++demoted;
     objects_demoted_.Increment();
     records_demoted_.Increment(count);
-    telemetry::FlightRecorder::Global().Record(
-        telemetry::FlightEventKind::kTierMigration, 0, candidate.oid.raw,
-        count, "demoted below t=" + std::to_string(boundary));
+    telemetry::RecordEvent(telemetry::TraceKind::kTierMigration, 0,
+                           candidate.oid.raw, count,
+                           "demoted below t=" + std::to_string(boundary));
   }
   // Rebalance after the pass so a burst of demotions triggers at most one
   // merge cascade.

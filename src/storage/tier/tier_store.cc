@@ -6,7 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "telemetry/flight_recorder.h"
+#include "telemetry/trace.h"
 
 namespace gemstone::storage::tier {
 
@@ -180,9 +180,9 @@ Status TierStore::Open() {
         continue;
       }
       if (c > 0) {
-        telemetry::FlightRecorder::Global().Record(
-            telemetry::FlightEventKind::kRecoveryFallback, 0, root.epoch, 0,
-            "tier level fell back to older root");
+        telemetry::RecordEvent(telemetry::TraceKind::kRecoveryFallback, 0,
+                               root.epoch, 0,
+                               "tier level fell back to older root");
       }
       level.epoch = root.epoch;
       level.catalog_tracks =
@@ -243,33 +243,11 @@ std::vector<TierStore::Fence> TierStore::BuildFences(
 }
 
 void TierStore::RecomputeFreeLocked(Level& level) {
-  std::unordered_set<TrackId> used;
-  for (TrackId t : level.catalog_tracks) used.insert(t);
-  for (const RunState& run : level.runs) {
-    for (TrackId t : run.tracks) used.insert(t);
-  }
-  level.free_tracks.clear();
-  for (TrackId t = CommitManager::kFirstDataTrack;
-       t < level.disk->num_tracks(); ++t) {
-    if (used.count(t) == 0) level.free_tracks.insert(t);
-  }
-}
-
-Result<std::vector<TrackId>> TierStore::AllocateLocked(Level& level,
-                                                       std::size_t n) {
-  if (level.free_tracks.size() < n) {
-    return Status::IoError("tier level full: need " + std::to_string(n) +
-                           " tracks, have " +
-                           std::to_string(level.free_tracks.size()));
-  }
-  std::vector<TrackId> out;
-  out.reserve(n);
-  auto it = level.free_tracks.begin();
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(*it);
-    it = level.free_tracks.erase(it);
-  }
-  return out;
+  level.free_tracks.Reset(level.disk->num_tracks());
+  level.free_tracks.Take(
+      {CommitManager::kRootSlotA, CommitManager::kRootSlotB});
+  level.free_tracks.Take(level.catalog_tracks);
+  for (const RunState& run : level.runs) level.free_tracks.Take(run.tracks);
 }
 
 std::vector<std::uint8_t> TierStore::EncodeLevelCatalogLocked(
@@ -345,8 +323,8 @@ Status TierStore::FlipLevelLocked(Level& level,
                                   TrackWrites group) {
   std::vector<std::uint8_t> catalog_bytes =
       EncodeLevelCatalogLocked(next_runs);
-  auto cat_tracks =
-      AllocateLocked(level, level.commits->TracksFor(catalog_bytes.size()));
+  auto cat_tracks = level.free_tracks.Allocate(
+      level.commits->TracksFor(catalog_bytes.size()), "tier level");
   if (!cat_tracks.ok()) {
     RecomputeFreeLocked(level);
     return cat_tracks.status();
@@ -394,10 +372,10 @@ Status TierStore::AppendRunLocked(const std::vector<VersionRecord>& records) {
 
   // One forced merge downward when L1 is too full to shadow the new run
   // (data + a worst-case catalog rewrite).
-  if (level.free_tracks.size() < n_data + 2 && !level.runs.empty()) {
+  if (level.free_tracks.count() < n_data + 2 && !level.runs.empty()) {
     GS_RETURN_IF_ERROR(CompactLevelLocked(0, /*force=*/true));
   }
-  auto data_tracks = AllocateLocked(level, n_data);
+  auto data_tracks = level.free_tracks.Allocate(n_data, "tier level");
   if (!data_tracks.ok()) {
     RecomputeFreeLocked(level);
     return data_tracks.status();
@@ -521,17 +499,17 @@ Status TierStore::CompactLevelLocked(std::size_t level_index, bool force) {
       }
     }
     archive_merges_.Increment();
-    telemetry::FlightRecorder::Global().Record(
-        telemetry::FlightEventKind::kTierCompaction, 0, level_index + 1,
-        merged.size(), "merged " + std::to_string(merged_from) +
-                           " runs into archive");
+    telemetry::RecordEvent(
+        telemetry::TraceKind::kTierCompaction, 0, level_index + 1,
+        merged.size(),
+        "merged " + std::to_string(merged_from) + " runs into archive");
     return Status::OK();
   }
 
   Level& dst = deepest ? src : levels_[level_index + 1];
   if (deepest && src.runs.size() <= 1) return Status::OK();
   const std::size_t n_data = dst.commits->TracksFor(encoded.bytes.size());
-  auto data_tracks = AllocateLocked(dst, n_data);
+  auto data_tracks = dst.free_tracks.Allocate(n_data, "tier level");
   if (!data_tracks.ok()) {
     RecomputeFreeLocked(dst);
     return data_tracks.status();
@@ -552,8 +530,8 @@ Status TierStore::CompactLevelLocked(std::size_t level_index, bool force) {
     GS_RETURN_IF_ERROR(FlipLevelLocked(src, {}, {}));
   }
   compactions_.Increment();
-  telemetry::FlightRecorder::Global().Record(
-      telemetry::FlightEventKind::kTierCompaction, 0, level_index + 1,
+  telemetry::RecordEvent(
+      telemetry::TraceKind::kTierCompaction, 0, level_index + 1,
       merged.size(),
       deepest ? "self-merge (no archive attached)"
               : "merged into level " + std::to_string(level_index + 2));
@@ -774,7 +752,7 @@ std::vector<TierLevelStats> TierStore::LevelStats() const {
       s.records += run.record_count;
       s.bytes += run.byte_len;
     }
-    s.free_tracks = level.free_tracks.size();
+    s.free_tracks = level.free_tracks.count();
     s.epoch = level.epoch;
     stats.push_back(s);
   }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -17,6 +16,7 @@
 #include "object/symbol_table.h"
 #include "storage/archival_store.h"
 #include "storage/commit_manager.h"
+#include "storage/free_track_map.h"
 #include "storage/simulated_disk.h"
 #include "storage/tier/cold_run.h"
 #include "storage/tier/version_record.h"
@@ -159,7 +159,7 @@ class TierStore {
     std::unique_ptr<CommitManager> commits;
     std::uint64_t epoch = 0;
     std::vector<TrackId> catalog_tracks;
-    std::set<TrackId> free_tracks;
+    FreeTrackMap free_tracks;
     std::vector<RunState> runs;
     telemetry::Histogram* read_us = nullptr;  // storage.tier.l<k>.read_us
   };
@@ -173,9 +173,7 @@ class TierStore {
                          TrackWrites group) GS_REQUIRES(mu_);
   static Result<std::vector<std::uint8_t>> ReadLevelCatalog(
       const Level& level, const RootState& root);
-  Result<std::vector<TrackId>> AllocateLocked(Level& level, std::size_t n)
-      GS_REQUIRES(mu_);
-  /// Rebuilds the free set from the level's adopted runs + catalog — the
+  /// Rebuilds the free map from the level's adopted runs + catalog — the
   /// single undo/commit point for track bookkeeping on both flip paths.
   void RecomputeFreeLocked(Level& level) GS_REQUIRES(mu_);
   std::vector<std::uint8_t> EncodeLevelCatalogLocked(

@@ -1,8 +1,10 @@
 #include "telemetry/trace.h"
 
-#include <atomic>
+#include <algorithm>
+#include <fstream>
+#include <sstream>
 
-#include "telemetry/flight_recorder.h"
+#include "telemetry/export.h"
 
 namespace gemstone::telemetry {
 
@@ -10,7 +12,8 @@ namespace {
 thread_local std::uint32_t tls_span_depth = 0;
 thread_local std::uint64_t tls_trace_id = 0;
 // Innermost live span on this thread — the parent of the next span (or of
-// any non-span record, e.g. disk I/O) opened here. 0 = at top level.
+// any non-span record, e.g. disk I/O or an event) opened here. 0 = at top
+// level.
 thread_local std::uint64_t tls_span_id = 0;
 
 // Span ids are process-unique and monotone; 0 is reserved for "no span".
@@ -25,7 +28,38 @@ std::chrono::steady_clock::time_point TraceEpoch() {
       std::chrono::steady_clock::now();
   return epoch;
 }
+
+struct AutoDump {
+  Mutex mu{LockRank::kTelemetryAutoDump, "telemetry.auto_dump_mu"};
+  std::string path GS_GUARDED_BY(mu);
+};
+
+AutoDump& AutoDumpState() {
+  static AutoDump* state = new AutoDump();  // never dies
+  return *state;
+}
 }  // namespace
+
+std::string_view TraceKindName(TraceKind kind) {
+  switch (kind) {
+    case TraceKind::kSpan: return "span";
+    case TraceKind::kTxnBegin: return "txn_begin";
+    case TraceKind::kTxnCommit: return "txn_commit";
+    case TraceKind::kTxnAbort: return "txn_abort";
+    case TraceKind::kTxnConflict: return "txn_conflict";
+    case TraceKind::kStorageFault: return "storage_fault";
+    case TraceKind::kRecoveryFallback: return "recovery_fallback";
+    case TraceKind::kSlowOp: return "slow_op";
+    case TraceKind::kNetConnOpen: return "net_conn_open";
+    case TraceKind::kNetConnClose: return "net_conn_close";
+    case TraceKind::kSlowRequest: return "slow_request";
+    case TraceKind::kArchive: return "archive";
+    case TraceKind::kRestore: return "restore";
+    case TraceKind::kTierMigration: return "tier_migration";
+    case TraceKind::kTierCompaction: return "tier_compaction";
+  }
+  return "unknown";
+}
 
 std::uint64_t CurrentSpanId() { return tls_span_id; }
 
@@ -53,71 +87,135 @@ TraceContextScope::TraceContextScope(std::uint64_t trace_id)
 
 TraceContextScope::~TraceContextScope() { tls_trace_id = saved_; }
 
-TraceBuffer& TraceBuffer::Global() {
-  static TraceBuffer* buffer = new TraceBuffer();  // never dies
-  return *buffer;
+TraceRing& TraceRing::Spans() {
+  static TraceRing* ring = new TraceRing(  // never dies
+      kSpanCapacity,
+      MetricsRegistry::Global().GetCounter("telemetry.dropped_spans"));
+  return *ring;
 }
 
-TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity) {
-  ring_.reserve(capacity_);
+TraceRing& TraceRing::Events() {
+  static TraceRing* ring = new TraceRing(kEventCapacity);  // never dies
+  return *ring;
 }
 
-void TraceBuffer::Record(const SpanRecord& span) {
-  // Registry pointer resolved outside mu_ (GetCounter takes its own lock).
-  static Counter* dropped_counter =
-      MetricsRegistry::Global().GetCounter("telemetry.dropped_spans");
-  bool wrapped = false;
+TraceRing::TraceRing(std::size_t capacity, Counter* overwrites)
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      overwrites_(overwrites),
+      slots_(new Slot[capacity_]) {}
+
+void TraceRing::Record(TraceRecord record) {
+  record.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  Store(std::move(record));
+}
+
+void TraceRing::Store(TraceRecord record) {
+  Slot& slot = slots_[record.seq % capacity_];
+  bool lost = false;  // one of the slot's record and this one
   {
-    MutexLock lock(mu_);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(span);
-    } else {
-      ring_[next_] = span;
-      ++dropped_;
-      wrapped = true;
-    }
-    next_ = (next_ + 1) % capacity_;
-    ++recorded_;
+    MutexLock lock(slot.mu);
+    lost = slot.record.seq != 0;
+    if (slot.record.seq < record.seq) slot.record = std::move(record);
   }
-  if (wrapped) dropped_counter->Increment();
+  if (lost && overwrites_ != nullptr) overwrites_->Increment();
 }
 
-std::vector<SpanRecord> TraceBuffer::Snapshot() const {
-  MutexLock lock(mu_);
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // `next_` is the oldest slot once the ring has wrapped.
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(next_ + i) % capacity_]);
-    }
+std::vector<TraceRecord> TraceRing::Snapshot() const {
+  std::vector<TraceRecord> out;
+  out.reserve(capacity_);
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    const Slot& slot = slots_[i];
+    MutexLock lock(slot.mu);
+    if (slot.record.seq != 0) out.push_back(slot.record);
   }
+  std::sort(out.begin(), out.end(),
+            [](const TraceRecord& a, const TraceRecord& b) {
+              return a.seq < b.seq;
+            });
   return out;
 }
 
-void TraceBuffer::Clear() {
-  MutexLock lock(mu_);
-  ring_.clear();
-  next_ = 0;
-  recorded_ = 0;
-  dropped_ = 0;
+void TraceRing::Clear() {
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    Slot& slot = slots_[i];
+    MutexLock lock(slot.mu);
+    slot.record = TraceRecord{};
+  }
+  cleared_seq_.store(next_seq_.load(std::memory_order_relaxed) - 1,
+                     std::memory_order_relaxed);
 }
 
-std::size_t TraceBuffer::size() const {
-  MutexLock lock(mu_);
-  return ring_.size();
+void RecordEvent(TraceKind kind, std::uint64_t session, std::uint64_t a,
+                 std::uint64_t b, std::string_view detail) {
+  TraceRecord event;
+  event.name = TraceKindName(kind).data();
+  event.kind = kind;
+  event.start_ns = TraceNowNs();
+  // Request attribution for free: whatever wire request and span this
+  // thread is currently serving (0 when recording outside any).
+  event.trace_id = tls_trace_id;
+  event.parent_span_id = tls_span_id;
+  event.depth = tls_span_depth;
+  event.thread_id = CurrentThreadOrdinal();
+  event.session = session;
+  event.a = a;
+  event.b = b;
+  event.detail.assign(detail);
+  TraceRing::Events().Record(std::move(event));
+  // Registry view of the event flow (exporters pick this up for free).
+  static Counter* recorded =
+      MetricsRegistry::Global().GetCounter("flightrec.events");
+  recorded->Increment();
+  if (kind != TraceKind::kTxnAbort && kind != TraceKind::kTxnConflict &&
+      kind != TraceKind::kStorageFault) {
+    return;
+  }
+  const std::string path = AutoDumpPath();
+  if (path.empty()) return;
+  static Counter* dumps =
+      MetricsRegistry::Global().GetCounter("flightrec.auto_dumps");
+  dumps->Increment();
+  // Best effort: a failure path cannot do much about a failed write.
+  std::ofstream(path, std::ios::trunc) << EventsJson(TraceRing::Events())
+                                       << "\n";
 }
 
-std::uint64_t TraceBuffer::total_recorded() const {
-  MutexLock lock(mu_);
-  return recorded_;
+std::string EventsJson(const TraceRing& ring, std::size_t limit,
+                       std::optional<TraceKind> only) {
+  std::vector<TraceRecord> events = ring.Snapshot();
+  if (only) std::erase_if(events, [&](auto& e) { return e.kind != *only; });
+  // Keep the newest `limit` (Snapshot is sequence-ordered).
+  if (limit != 0 && events.size() > limit) {
+    events.erase(events.begin(),
+                 events.end() - static_cast<std::ptrdiff_t>(limit));
+  }
+  std::ostringstream out;
+  out << "{\"capacity\":" << ring.capacity()
+      << ",\"recorded\":" << ring.total_recorded()
+      << ",\"dropped\":" << ring.dropped() << ",\"events\":[";
+  for (const TraceRecord& event : events) {
+    if (&event != &events.front()) out << ",";
+    out << "{\"seq\":" << event.seq << ",\"ts_ns\":" << event.start_ns
+        << ",\"kind\":\"" << TraceKindName(event.kind)
+        << "\",\"session\":" << event.session
+        << ",\"trace_id\":" << event.trace_id << ",\"a\":" << event.a
+        << ",\"b\":" << event.b << ",\"detail\":\""
+        << JsonEscape(event.detail) << "\"}";
+  }
+  out << "]}";
+  return out.str();
 }
 
-std::uint64_t TraceBuffer::dropped() const {
-  MutexLock lock(mu_);
-  return dropped_;
+void SetAutoDumpPath(std::string path) {
+  AutoDump& state = AutoDumpState();
+  MutexLock lock(state.mu);
+  state.path = std::move(path);
+}
+
+std::string AutoDumpPath() {
+  AutoDump& state = AutoDumpState();
+  MutexLock lock(state.mu);
+  return state.path;
 }
 
 ScopedSpan::ScopedSpan(const char* name, Histogram* latency_us)
@@ -136,7 +234,8 @@ ScopedSpan::~ScopedSpan() {
   const std::uint64_t end_ns = TraceNowNs();
   --tls_span_depth;
   tls_span_id = parent_span_id_;
-  SpanRecord span;
+  const std::uint64_t duration_ns = end_ns > start_ns_ ? end_ns - start_ns_ : 0;
+  TraceRecord span;
   span.name = name_;
   span.depth = depth_;
   span.trace_id = tls_trace_id;
@@ -144,16 +243,11 @@ ScopedSpan::~ScopedSpan() {
   span.parent_span_id = parent_span_id_;
   span.thread_id = CurrentThreadOrdinal();
   span.start_ns = start_ns_;
-  const std::uint64_t duration_ns = end_ns > start_ns_ ? end_ns - start_ns_ : 0;
   span.duration_ns = duration_ns;
-  TraceBuffer::Global().Record(span);
+  TraceRing::Spans().Record(std::move(span));
   if (latency_us_ != nullptr) latency_us_->Observe(duration_ns / 1000);
-  // Slow-op capture: spans past the flight-recorder threshold are worth
-  // remembering even after the trace ring has long since wrapped.
-  FlightRecorder& recorder = FlightRecorder::Global();
-  const std::uint64_t threshold = recorder.slow_op_threshold_ns();
-  if (threshold != 0 && duration_ns >= threshold) {
-    recorder.Record(FlightEventKind::kSlowOp, 0, duration_ns, depth_, name_);
+  if (duration_ns >= kSlowOpNs) {
+    RecordEvent(TraceKind::kSlowOp, 0, duration_ns, depth_, name_);
   }
 }
 

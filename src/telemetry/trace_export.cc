@@ -8,19 +8,27 @@
 
 namespace gemstone::telemetry {
 
+std::vector<TraceRecord> TraceSnapshot() {
+  std::vector<TraceRecord> records = TraceRing::Spans().Snapshot();
+  const std::vector<TraceRecord> events = TraceRing::Events().Snapshot();
+  records.insert(records.end(), events.begin(), events.end());
+  return records;
+}
+
 namespace {
 
-/// Spans of one trace (or all spans when trace_id == 0), start-ordered.
-std::vector<SpanRecord> FilterSorted(const std::vector<SpanRecord>& spans,
-                                     std::uint64_t trace_id) {
-  std::vector<SpanRecord> out;
-  for (const SpanRecord& span : spans) {
+/// Records of one trace (or all records when trace_id == 0),
+/// start-ordered.
+std::vector<TraceRecord> FilterSorted(const std::vector<TraceRecord>& spans,
+                                      std::uint64_t trace_id) {
+  std::vector<TraceRecord> out;
+  for (const TraceRecord& span : spans) {
     if (trace_id == 0 || span.trace_id == trace_id) out.push_back(span);
   }
   // span_id tie-break: ids are allocated in open order, so simultaneous
   // starts (coarse clocks) still sort parents before their children.
   std::stable_sort(out.begin(), out.end(),
-                   [](const SpanRecord& a, const SpanRecord& b) {
+                   [](const TraceRecord& a, const TraceRecord& b) {
                      return a.start_ns != b.start_ns
                                 ? a.start_ns < b.start_ns
                                 : a.span_id < b.span_id;
@@ -28,30 +36,41 @@ std::vector<SpanRecord> FilterSorted(const std::vector<SpanRecord>& spans,
   return out;
 }
 
-void AppendEvent(std::ostringstream& os, const SpanRecord& span, bool first) {
+void AppendEvent(std::ostringstream& os, const TraceRecord& record,
+                 bool first) {
   if (!first) os << ',';
-  os << "{\"name\":\"" << JsonEscape(span.name)
-     << "\",\"cat\":\"gemstone\",\"ph\":\"X\",\"ts\":" << span.start_ns / 1000
-     << '.' << (span.start_ns % 1000) / 100
-     << ",\"dur\":" << span.duration_ns / 1000 << '.'
-     << (span.duration_ns % 1000) / 100 << ",\"pid\":1,\"tid\":"
-     << span.thread_id << ",\"args\":{\"span_id\":" << span.span_id
-     << ",\"parent_span_id\":" << span.parent_span_id
-     << ",\"trace_id\":" << span.trace_id << ",\"depth\":" << span.depth
-     << "}}";
+  const bool span = record.kind == TraceKind::kSpan;
+  os << "{\"name\":\"" << JsonEscape(record.name)
+     << "\",\"cat\":\"gemstone\",\"ph\":\"" << (span ? "X" : "i")
+     << "\",\"ts\":" << record.start_ns / 1000 << '.'
+     << (record.start_ns % 1000) / 100;
+  if (span) {
+    os << ",\"dur\":" << record.duration_ns / 1000 << '.'
+       << (record.duration_ns % 1000) / 100;
+  }
+  os << ",\"pid\":1,\"tid\":" << record.thread_id
+     << ",\"args\":{\"span_id\":" << record.span_id
+     << ",\"parent_span_id\":" << record.parent_span_id
+     << ",\"trace_id\":" << record.trace_id << ",\"depth\":" << record.depth;
+  if (!span) {
+    os << ",\"session\":" << record.session << ",\"a\":" << record.a
+       << ",\"b\":" << record.b << ",\"detail\":\""
+       << JsonEscape(record.detail) << '"';
+  }
+  os << "}}";
 }
 
 }  // namespace
 
 std::vector<TraceTreeNode> AssembleTraceTree(
-    const std::vector<SpanRecord>& spans, std::uint64_t trace_id) {
-  const std::vector<SpanRecord> selected = FilterSorted(spans, trace_id);
+    const std::vector<TraceRecord>& spans, std::uint64_t trace_id) {
+  const std::vector<TraceRecord> selected = FilterSorted(spans, trace_id);
   std::vector<TraceTreeNode> nodes;
   nodes.reserve(selected.size());
   std::map<std::uint64_t, std::size_t> by_id;
-  for (const SpanRecord& span : selected) {
-    by_id[span.span_id] = nodes.size();
-    nodes.push_back(TraceTreeNode{span, {}});
+  for (const TraceRecord& record : selected) {
+    if (record.kind == TraceKind::kSpan) by_id[record.span_id] = nodes.size();
+    nodes.push_back(TraceTreeNode{record, {}});
   }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const std::uint64_t parent = nodes[i].span.parent_span_id;
@@ -66,9 +85,9 @@ std::vector<TraceTreeNode> AssembleTraceTree(
   return nodes;
 }
 
-std::string TraceEventsJson(const std::vector<SpanRecord>& spans,
+std::string TraceEventsJson(const std::vector<TraceRecord>& spans,
                             std::uint64_t trace_id, std::size_t max_events) {
-  std::vector<SpanRecord> selected = FilterSorted(spans, trace_id);
+  std::vector<TraceRecord> selected = FilterSorted(spans, trace_id);
   if (max_events != 0 && selected.size() > max_events) {
     // Keep the newest complete window — the tail is what an operator
     // dumping a live server is after.
@@ -77,16 +96,14 @@ std::string TraceEventsJson(const std::vector<SpanRecord>& spans,
   }
   std::ostringstream os;
   os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const SpanRecord& span : selected) {
-    AppendEvent(os, span, first);
-    first = false;
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    AppendEvent(os, selected[i], i == 0);
   }
   os << "],\"displayTimeUnit\":\"ns\"}";
   return os.str();
 }
 
-std::string TraceIndexJson(const std::vector<SpanRecord>& spans,
+std::string TraceIndexJson(const std::vector<TraceRecord>& spans,
                            std::size_t limit) {
   struct Summary {
     std::size_t spans = 0;
@@ -96,7 +113,7 @@ std::string TraceIndexJson(const std::vector<SpanRecord>& spans,
     std::uint64_t last_seen = 0;  // newest start in the trace, for ordering
   };
   std::map<std::uint64_t, Summary> by_trace;
-  for (const SpanRecord& span : spans) {
+  for (const TraceRecord& span : spans) {
     if (span.trace_id == 0) continue;
     Summary& s = by_trace[span.trace_id];
     if (s.spans == 0 || span.start_ns < s.start_ns) s.start_ns = span.start_ns;

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "storage/tier/tier_store.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/io_attribution.h"
 #include "telemetry/profiler.h"
 #include "telemetry/trace.h"
@@ -61,9 +60,8 @@ std::unique_ptr<Transaction> TransactionManager::Begin(SessionId session,
   // has applied every binding stamped with it.
   begun_.Increment();
   auto txn = std::make_unique<Transaction>(session, clock_.load(), user);
-  telemetry::FlightRecorder::Global().Record(
-      telemetry::FlightEventKind::kTxnBegin, session, txn->start_time(), 0,
-      "");
+  telemetry::RecordEvent(telemetry::TraceKind::kTxnBegin, session,
+                         txn->start_time(), 0, "");
   return txn;
 }
 
@@ -91,9 +89,8 @@ Status TransactionManager::Abort(Transaction* txn) {
   txn->state_ = TxnState::kAborted;
   txn->working_.clear();
   aborted_.Increment(1, std::memory_order_release);
-  telemetry::FlightRecorder::Global().Record(
-      telemetry::FlightEventKind::kTxnAbort, txn->session(),
-      txn->start_time(), 0, "explicit abort");
+  telemetry::RecordEvent(telemetry::TraceKind::kTxnAbort, txn->session(),
+                         txn->start_time(), 0, "explicit abort");
   return Status::OK();
 }
 
@@ -141,10 +138,10 @@ Status TransactionManager::AbortConflicted(Transaction* txn,
       dropped->Increment();
     }
   }
-  telemetry::FlightRecorder::Global().Record(
-      telemetry::FlightEventKind::kTxnConflict, txn->session(), raw, 0,
-      std::string(what) + " object " + Oid(raw).ToString() +
-          " changed since start");
+  telemetry::RecordEvent(telemetry::TraceKind::kTxnConflict, txn->session(),
+                         raw, 0,
+                         std::string(what) + " object " +
+                             Oid(raw).ToString() + " changed since start");
   return Status::TransactionConflict(std::string(what) + " object " +
                                      Oid(raw).ToString() +
                                      " changed since start");
@@ -206,9 +203,8 @@ Status TransactionManager::Commit(Transaction* txn) {
     txn->state_ = TxnState::kAborted;
     txn->working_.clear();
     aborted_.Increment(1, std::memory_order_release);
-    telemetry::FlightRecorder::Global().Record(
-        telemetry::FlightEventKind::kTxnAbort, txn->session(),
-        txn->start_time(), 0, status.message());
+    telemetry::RecordEvent(telemetry::TraceKind::kTxnAbort, txn->session(),
+                           txn->start_time(), 0, status.message());
     return status;
   };
 
@@ -244,9 +240,8 @@ Status TransactionManager::Commit(Transaction* txn) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - commit_start)
           .count());
-  telemetry::FlightRecorder::Global().Record(
-      telemetry::FlightEventKind::kTxnCommit, txn->session(), commit_time,
-      latency_us, "");
+  telemetry::RecordEvent(telemetry::TraceKind::kTxnCommit, txn->session(),
+                         commit_time, latency_us, "");
   observe_latency();
   return Status::OK();
 }

@@ -1,6 +1,7 @@
 // Telemetry stress tests (ctest -L tsan): recording is designed to be
-// lock-free on the hot path and must stay race-free against concurrent
-// Snapshot/export and collector registration churn.
+// lock-free on the hot path (the trace rings take only a per-slot lock)
+// and must stay race-free against concurrent Snapshot/export and
+// collector registration churn.
 
 #include <atomic>
 #include <barrier>
@@ -135,30 +136,34 @@ TEST(TelemetryStress, CollectorChurnPreservesRetiredTotals) {
             base + kThreads * kComponentsPerThread * kPerComponent);
 }
 
-// A local TraceBuffer under concurrent Record/Snapshot/Clear. The ring
-// never blocks recording; after the recorders join, total_recorded is
-// exact and the final drain is bounded by capacity.
+// A local TraceRing under concurrent Record/Snapshot/Clear, with spans
+// and events mixed in one ring. The writer/reader race on its own is
+// FlightRecorderStressTest.RacingWritersAndReadersStayCoherent; this one
+// adds Clear. Recording never blocks; once quiesced, the counts are exact.
 TEST(TelemetryStress, TraceRingRecordVsSnapshotAndClear) {
   constexpr int kRecorders = 4;
-  constexpr int kSpansPerRecorder = 500;
+  constexpr int kRecordsPerRecorder = 500;
   constexpr std::size_t kCapacity = 64;
 
-  TraceBuffer buffer(kCapacity);
+  TraceRing ring(kCapacity);
   std::barrier start(kRecorders + 2);
   std::atomic<bool> done{false};
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
 
   for (int r = 0; r < kRecorders; ++r) {
-    threads.emplace_back([&, r] {
+    threads.emplace_back([&] {
       start.arrive_and_wait();
-      for (int i = 0; i < kSpansPerRecorder; ++i) {
-        SpanRecord span;
-        span.name = "stress.span";
-        span.depth = static_cast<std::uint32_t>(r);
-        span.start_ns = static_cast<std::uint64_t>(i);
-        span.duration_ns = 1;
-        buffer.Record(span);
+      for (int i = 0; i < kRecordsPerRecorder; ++i) {
+        TraceRecord record;
+        if (i % 2 == 0) {
+          record.name = "stress.span";
+        } else {
+          record.kind = TraceKind::kTxnCommit;
+          record.name = TraceKindName(record.kind).data();
+          record.detail = "stress.event";
+        }
+        ring.Record(std::move(record));
       }
     });
   }
@@ -166,17 +171,22 @@ TEST(TelemetryStress, TraceRingRecordVsSnapshotAndClear) {
   threads.emplace_back([&] {  // snapshotter
     start.arrive_and_wait();
     while (!done.load(std::memory_order_acquire)) {
-      std::vector<SpanRecord> spans = buffer.Snapshot();
-      if (spans.size() > kCapacity) errors.fetch_add(1);
-      for (const SpanRecord& span : spans) {
-        if (std::string(span.name) != "stress.span") errors.fetch_add(1);
+      const std::vector<TraceRecord> records = ring.Snapshot();
+      if (records.size() > kCapacity) errors.fetch_add(1);
+      for (const TraceRecord& record : records) {
+        const bool span = record.kind == TraceKind::kSpan;
+        if (std::string(record.name) !=
+                (span ? "stress.span" : "txn_commit") ||
+            record.detail != (span ? "" : "stress.event")) {
+          errors.fetch_add(1);
+        }
       }
     }
   });
 
   threads.emplace_back([&] {  // clearer
     start.arrive_and_wait();
-    for (int i = 0; i < 50; ++i) buffer.Clear();
+    for (int i = 0; i < 50; ++i) ring.Clear();
   });
 
   for (int r = 0; r < kRecorders; ++r) threads[r].join();
@@ -185,7 +195,16 @@ TEST(TelemetryStress, TraceRingRecordVsSnapshotAndClear) {
   threads[kRecorders + 1].join();
 
   EXPECT_EQ(errors.load(), 0);
-  EXPECT_LE(buffer.Snapshot().size(), kCapacity);
+  EXPECT_LE(ring.Snapshot().size(), kCapacity);
+
+  // Quiesced, the counts are exact again.
+  ring.Clear();
+  TraceRecord span;
+  span.name = "stress.span";
+  for (std::size_t i = 0; i < kCapacity + 3; ++i) ring.Record(span);
+  EXPECT_EQ(ring.total_recorded(), kCapacity + 3);
+  EXPECT_EQ(ring.dropped(), 3u);
+  EXPECT_EQ(ring.Snapshot().size(), kCapacity);
 }
 
 // The global span macro path: nested TELEM_SPANs on several threads while
@@ -213,7 +232,7 @@ TEST(TelemetryStress, GlobalScopedSpansConcurrent) {
   threads.emplace_back([&] {
     start.arrive_and_wait();
     while (!done.load(std::memory_order_acquire)) {
-      for (const SpanRecord& span : TraceBuffer::Global().Snapshot()) {
+      for (const TraceRecord& span : TraceRing::Spans().Snapshot()) {
         if (span.depth > 64) errors.fetch_add(1);
       }
     }

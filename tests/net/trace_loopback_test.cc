@@ -1,8 +1,9 @@
 // End-to-end request tracing over the wire: client-stamped trace ids
 // echo back on every reply, server-assigned ids are flagged with the top
-// bit, flight-recorder events record the owning request's trace id, the
-// slow-request log captures the per-stage breakdown, and the statusz page
-// shows live connections with their stage histograms.
+// bit, flight-recorder events record the owning request's trace id and
+// sit inside its span tree, the slow-request log captures the per-stage
+// breakdown, and the statusz page shows live connections with their stage
+// histograms.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,8 @@
 #include "executor/executor.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "telemetry/flight_recorder.h"
+#include "telemetry/trace.h"
+#include "telemetry/trace_export.h"
 
 namespace gemstone::net {
 namespace {
@@ -25,7 +27,7 @@ namespace {
 class TraceLoopbackTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    telemetry::FlightRecorder::Global().ClearForTest();
+    telemetry::TraceRing::Events().Clear();
   }
 
   void StartServer(ServerOptions options = {}) {
@@ -42,10 +44,9 @@ class TraceLoopbackTest : public ::testing::Test {
   /// Events of `kind` currently retained, oldest first. Flight events for
   /// a request land after its response flushes, so callers may need to
   /// poll briefly.
-  std::vector<telemetry::FlightEvent> EventsOfKind(
-      telemetry::FlightEventKind kind) {
-    std::vector<telemetry::FlightEvent> out;
-    for (const auto& event : telemetry::FlightRecorder::Global().Snapshot()) {
+  std::vector<telemetry::TraceRecord> EventsOfKind(telemetry::TraceKind kind) {
+    std::vector<telemetry::TraceRecord> out;
+    for (const auto& event : telemetry::TraceRing::Events().Snapshot()) {
       if (event.kind == kind) out.push_back(event);
     }
     return out;
@@ -115,7 +116,7 @@ TEST_F(TraceLoopbackTest, FlightRecorderEventsCarryTheWireTraceId) {
 
   // The commit ran inside the request's trace context, so the recorder's
   // kTxnCommit event is tagged with the wire trace id.
-  const auto commits = EventsOfKind(telemetry::FlightEventKind::kTxnCommit);
+  const auto commits = EventsOfKind(telemetry::TraceKind::kTxnCommit);
   ASSERT_FALSE(commits.empty());
   bool tagged = false;
   for (const auto& event : commits) tagged |= event.trace_id == kTrace;
@@ -133,9 +134,9 @@ TEST_F(TraceLoopbackTest, SlowRequestLogCapturesStageBreakdown) {
   EXPECT_EQ(client.Execute("2 + 3").ValueOrDie(), "5");
 
   // Slow-request events land after the response flushes; poll briefly.
-  std::vector<telemetry::FlightEvent> slow;
+  std::vector<telemetry::TraceRecord> slow;
   for (int i = 0; i < 500; ++i) {
-    slow = EventsOfKind(telemetry::FlightEventKind::kSlowRequest);
+    slow = EventsOfKind(telemetry::TraceKind::kSlowRequest);
     bool found = false;
     for (const auto& event : slow) {
       found |= event.trace_id == kTrace &&
@@ -145,7 +146,7 @@ TEST_F(TraceLoopbackTest, SlowRequestLogCapturesStageBreakdown) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_FALSE(slow.empty());
-  const telemetry::FlightEvent* execute = nullptr;
+  const telemetry::TraceRecord* execute = nullptr;
   for (const auto& event : slow) {
     if (event.trace_id == kTrace &&
         event.detail.find("ExecuteOpal") != std::string::npos) {
@@ -162,9 +163,8 @@ TEST_F(TraceLoopbackTest, SlowRequestLogCapturesStageBreakdown) {
   }
 
   // The `:slowlog` dump is the same events as JSON.
-  const std::string dump =
-      telemetry::FlightRecorder::Global().DumpJsonOfKind(
-          telemetry::FlightEventKind::kSlowRequest);
+  const std::string dump = telemetry::EventsJson(
+      telemetry::TraceRing::Events(), 0, telemetry::TraceKind::kSlowRequest);
   EXPECT_NE(dump.find("\"slow_request\""), std::string::npos);
   EXPECT_NE(dump.find("execute="), std::string::npos);
 }
@@ -237,6 +237,66 @@ TEST_F(TraceLoopbackTest, StatuszReportsConflictHotspots) {
   // At least one hotspot entry with a conflict count.
   EXPECT_NE(statusz.value().find("\"conflicts\":"), std::string::npos)
       << statusz.value();
+}
+
+TEST_F(TraceLoopbackTest, ConflictEventSitsUnderTheLosersRequestSpan) {
+  StartServer();
+  Client alice = Connected();
+  Client bob = Connected();
+  ASSERT_TRUE(alice.Login().ok());
+  ASSERT_TRUE(bob.Login().ok());
+  ASSERT_TRUE(alice.Execute("H := Object new. H instVarNamed: 'v' put: 0")
+                  .ok());
+  ASSERT_TRUE(alice.Commit().ok());
+  ASSERT_TRUE(alice.Begin().ok());
+
+  // A same-object commit race: alice wins, bob's commit conflicts.
+  ASSERT_TRUE(alice.Execute("H instVarNamed: 'v' put: 1").ok());
+  ASSERT_TRUE(bob.Execute("H instVarNamed: 'v' put: 2").ok());
+  ASSERT_TRUE(alice.Commit().ok());
+  constexpr std::uint64_t kLoserTrace = 0x0000dead0000c0deull;
+  bob.set_trace_id(kLoserTrace);
+  ASSERT_FALSE(bob.Commit().ok());
+
+  const auto conflicts = EventsOfKind(telemetry::TraceKind::kTxnConflict);
+  ASSERT_FALSE(conflicts.empty());
+  const std::uint64_t trace_id = conflicts.back().trace_id;
+  EXPECT_EQ(trace_id, kLoserTrace);
+
+  // What /trace?id= serves: the request's root span closes after its reply
+  // flushes, so poll briefly for a net.request root whose subtree holds
+  // the conflict event.
+  bool under_request = false;
+  for (int i = 0; i < 500 && !under_request; ++i) {
+    const auto nodes =
+        telemetry::AssembleTraceTree(telemetry::TraceSnapshot(), trace_id);
+    for (std::size_t root = 0; root < nodes.size(); ++root) {
+      if (std::string(nodes[root].span.name) != "net.request") continue;
+      std::vector<std::size_t> pending = nodes[root].children;
+      while (!pending.empty()) {
+        const auto& node = nodes[pending.back()];
+        pending.pop_back();
+        under_request |= node.span.kind == telemetry::TraceKind::kTxnConflict;
+        pending.insert(pending.end(), node.children.begin(),
+                       node.children.end());
+      }
+    }
+    if (!under_request) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(under_request)
+      << "no txn_conflict event under the loser's net.request span";
+  const std::string json =
+      telemetry::TraceEventsJson(telemetry::TraceSnapshot(), trace_id);
+  EXPECT_NE(json.find("\"name\":\"net.request\",\"cat\":\"gemstone\","
+                      "\"ph\":\"X\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"txn_conflict\",\"cat\":\"gemstone\","
+                      "\"ph\":\"i\""),
+            std::string::npos)
+      << json;
 }
 
 TEST_F(TraceLoopbackTest, ConcurrentTrafficKeepsTraceEchoesStraight) {

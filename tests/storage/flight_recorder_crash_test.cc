@@ -14,7 +14,7 @@
 #include "object/object_memory.h"
 #include "storage/simulated_disk.h"
 #include "storage/storage_engine.h"
-#include "telemetry/flight_recorder.h"
+#include "telemetry/trace.h"
 
 namespace gemstone::storage {
 namespace {
@@ -40,9 +40,9 @@ TEST(FlightRecorderCrashTest, AbortedCommitLeavesAParsableDump) {
       ::testing::TempDir() + "/flightrec_crash_dump.json";
   std::remove(path.c_str());
 
-  telemetry::FlightRecorder& recorder = telemetry::FlightRecorder::Global();
-  recorder.ClearForTest();
-  recorder.SetAutoDumpPath(path);
+  telemetry::TraceRing& recorder = telemetry::TraceRing::Events();
+  recorder.Clear();
+  telemetry::SetAutoDumpPath(path);
 
   SimulatedDisk disk(128, 1024);
   StorageEngine engine(&disk);
@@ -64,8 +64,8 @@ TEST(FlightRecorderCrashTest, AbortedCommitLeavesAParsableDump) {
   EXPECT_NE(body.find("\"storage_fault\""), std::string::npos) << body;
   EXPECT_NE(body.find("injected write fault"), std::string::npos) << body;
 
-  recorder.SetAutoDumpPath("");
-  recorder.ClearForTest();
+  telemetry::SetAutoDumpPath("");
+  recorder.Clear();
   std::remove(path.c_str());
 }
 
@@ -74,9 +74,9 @@ TEST(FlightRecorderCrashTest, TornWriteAndRecoveryFallbackAreRecorded) {
       ::testing::TempDir() + "/flightrec_torn_dump.json";
   std::remove(path.c_str());
 
-  telemetry::FlightRecorder& recorder = telemetry::FlightRecorder::Global();
-  recorder.ClearForTest();
-  recorder.SetAutoDumpPath(path);
+  telemetry::TraceRing& recorder = telemetry::TraceRing::Events();
+  recorder.Clear();
+  telemetry::SetAutoDumpPath(path);
 
   SimulatedDisk disk(128, 1024);
   SymbolTable symbols;
@@ -101,8 +101,8 @@ TEST(FlightRecorderCrashTest, TornWriteAndRecoveryFallbackAreRecorded) {
   EXPECT_NE(body.find("\"storage_fault\""), std::string::npos) << body;
   EXPECT_NE(body.find("injected torn write"), std::string::npos) << body;
 
-  recorder.SetAutoDumpPath("");
-  recorder.ClearForTest();
+  telemetry::SetAutoDumpPath("");
+  recorder.Clear();
   std::remove(path.c_str());
 }
 

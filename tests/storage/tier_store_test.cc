@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,21 @@ TEST(TierStoreTest, OverBudgetLevelMergesDownward) {
             Value::Integer(0));
   EXPECT_EQ(store.ResolveNamed(Oid(10), "f", 500).ValueOrDie()->value,
             Value::Integer(2000));
+
+  // Placement stays lowest-first: the merge freed L1's run tracks, so the
+  // next run lands on the lowest free track, the first data track.
+  std::vector<TrackId> written;
+  store.level_disk(0)->SetWriteGate(
+      [&written](TrackId track) { written.push_back(track); });
+  ASSERT_TRUE(
+      store.AppendRun(Sorted({Named(99, "f", 1000, Value::Integer(7))})).ok());
+  store.level_disk(0)->SetWriteGate(nullptr);
+  std::erase_if(written, [](TrackId track) {
+    return track < CommitManager::kFirstDataTrack;  // root slot flips
+  });
+  ASSERT_FALSE(written.empty());
+  EXPECT_EQ(*std::min_element(written.begin(), written.end()),
+            CommitManager::kFirstDataTrack);
 }
 
 TEST(TierStoreTest, DeepestLevelOverflowsIntoArchive) {

@@ -109,20 +109,26 @@ TEST(TraceDropTest, RingWrapCountsDroppedSpans) {
   const std::uint64_t counter_before =
       registry.Snapshot().counters["telemetry.dropped_spans"];
 
-  TraceBuffer buffer(4);
-  SpanRecord span;
+  TraceRing buffer(4);
+  TraceRecord span;
   span.name = "trace.drop_test";
   for (int i = 0; i < 10; ++i) buffer.Record(span);
 
   EXPECT_EQ(buffer.total_recorded(), 10u);
-  EXPECT_EQ(buffer.size(), 4u);
+  EXPECT_EQ(buffer.Snapshot().size(), 4u);
   EXPECT_EQ(buffer.dropped(), 6u);
-  // The wrap is visible to exporters through the registry counter.
-  EXPECT_GE(registry.Snapshot().counters["telemetry.dropped_spans"],
-            counter_before + 6);
-
   buffer.Clear();
   EXPECT_EQ(buffer.dropped(), 0u);
+
+  // The span ring's wraps are visible to exporters through the registry
+  // counter.
+  TraceRing& spans = TraceRing::Spans();
+  spans.Clear();
+  for (std::size_t i = 0; i < spans.capacity() + 6; ++i) spans.Record(span);
+  EXPECT_EQ(spans.dropped(), 6u);
+  EXPECT_GE(registry.Snapshot().counters["telemetry.dropped_spans"],
+            counter_before + 6);
+  spans.Clear();
 }
 
 }  // namespace

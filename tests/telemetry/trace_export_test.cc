@@ -1,6 +1,6 @@
 // Trace assembly + Perfetto export (DESIGN.md §14): parent-linked span
 // records become trees, trees become Chrome trace-event JSON. The inputs
-// are synthetic SpanRecords so the golden output is exact.
+// are synthetic TraceRecords so the golden output is exact.
 
 #include "telemetry/trace_export.h"
 
@@ -13,11 +13,11 @@
 namespace gemstone::telemetry {
 namespace {
 
-SpanRecord MakeSpan(const char* name, std::uint64_t span_id,
+TraceRecord MakeSpan(const char* name, std::uint64_t span_id,
                     std::uint64_t parent, std::uint64_t trace_id,
                     std::uint64_t start_ns, std::uint64_t duration_ns,
                     std::uint32_t depth, std::uint32_t thread_id = 1) {
-  SpanRecord span;
+  TraceRecord span;
   span.name = name;
   span.span_id = span_id;
   span.parent_span_id = parent;
@@ -30,7 +30,7 @@ SpanRecord MakeSpan(const char* name, std::uint64_t span_id,
 }
 
 // The canonical request shape: net -> executor -> txn -> disk.
-std::vector<SpanRecord> RequestSpans() {
+std::vector<TraceRecord> RequestSpans() {
   return {
       MakeSpan("net.request", 10, 0, 42, 1000, 9000, 0),
       MakeSpan("executor.execute", 11, 10, 42, 2000, 6000, 1),
@@ -86,7 +86,7 @@ TEST(TraceExportTest, AssembleWithTraceZeroKeepsEveryTrace) {
 
 TEST(TraceExportTest, OrphanedParentsBecomeRootsNotDrops) {
   // The parent span rotated out of the ring: only the child survives.
-  const std::vector<SpanRecord> spans = {
+  const std::vector<TraceRecord> spans = {
       MakeSpan("txn.commit", 12, 11, 42, 3000, 3000, 2),
   };
   const auto nodes = AssembleTraceTree(spans, 42);
@@ -95,7 +95,7 @@ TEST(TraceExportTest, OrphanedParentsBecomeRootsNotDrops) {
 }
 
 TEST(TraceExportTest, GoldenTraceEventJsonForOneSpan) {
-  const std::vector<SpanRecord> spans = {
+  const std::vector<TraceRecord> spans = {
       MakeSpan("net.request", 10, 0, 42, 1500, 9300, 0),
   };
   // ts/dur are microseconds with one decimal of sub-us precision:
@@ -125,8 +125,8 @@ TEST(TraceExportTest, TraceEventsJsonIsWellFormedAndParentLinked) {
   const auto nodes = AssembleTraceTree(RequestSpans(), 42);
   for (const auto& node : nodes) {
     for (std::size_t child : node.children) {
-      const SpanRecord& parent = node.span;
-      const SpanRecord& kid = nodes[child].span;
+      const TraceRecord& parent = node.span;
+      const TraceRecord& kid = nodes[child].span;
       EXPECT_GE(kid.start_ns, parent.start_ns);
       EXPECT_LE(kid.start_ns + kid.duration_ns,
                 parent.start_ns + parent.duration_ns);
@@ -167,7 +167,7 @@ TEST(TraceExportTest, TraceIndexHonorsItsLimitButReportsTheTotal) {
 TEST(TraceExportTest, LiveSpansRecordParentLinksEndToEnd) {
   // Drive the real ScopedSpan machinery: nested spans on this thread must
   // come out of the ring parent-linked under the bound trace id.
-  TraceBuffer& buffer = TraceBuffer::Global();
+  TraceRing& buffer = TraceRing::Spans();
   buffer.Clear();
   {
     TraceContextScope trace(777001);
@@ -187,6 +187,43 @@ TEST(TraceExportTest, LiveSpansRecordParentLinksEndToEnd) {
   EXPECT_NE(nodes[0].span.span_id, 0u);
   EXPECT_EQ(nodes[nodes[0].children[0]].span.parent_span_id,
             nodes[0].span.span_id);
+}
+
+TEST(TraceExportTest, EventsRecordedInASpanExportAsInstantEventsUnderIt) {
+  // An event recorded inside a live span under a bound trace id joins
+  // that request's tree: a leaf of the span, rendered as an instant event.
+  TraceRing::Spans().Clear();
+  TraceRing::Events().Clear();
+  std::uint64_t span_id = 0;
+  {
+    TraceContextScope trace(777002);
+    ScopedSpan request("net.request");
+    span_id = CurrentSpanId();
+    RecordEvent(TraceKind::kTxnCommit, 5, 9, 11, "in request");
+  }
+  const std::vector<TraceRecord> records = TraceSnapshot();
+  const auto nodes = AssembleTraceTree(records, 777002);
+  ASSERT_EQ(nodes.size(), 2u);
+  EXPECT_STREQ(nodes[0].span.name, "net.request");
+  ASSERT_EQ(nodes[0].children.size(), 1u);
+  const TraceRecord& event = nodes[nodes[0].children[0]].span;
+  EXPECT_EQ(event.kind, TraceKind::kTxnCommit);
+  EXPECT_EQ(event.parent_span_id, span_id);
+
+  const std::string json = TraceEventsJson(records, 777002);
+  EXPECT_TRUE(JsonBalanced(json)) << json;
+  const auto at = json.find(
+      "{\"name\":\"txn_commit\",\"cat\":\"gemstone\",\"ph\":\"i\"");
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string instant = json.substr(at, json.find("}}", at) - at);
+  EXPECT_EQ(instant.find("\"dur\""), std::string::npos) << instant;
+  EXPECT_NE(instant.find("\"parent_span_id\":" + std::to_string(span_id) +
+                         ",\"trace_id\":777002"),
+            std::string::npos)
+      << instant;
+  EXPECT_NE(instant.find("\"detail\":\"in request\""), std::string::npos)
+      << instant;
+  TraceRing::Events().Clear();
 }
 
 }  // namespace

@@ -7,12 +7,25 @@
 #include "telemetry/metrics.h"
 
 namespace gemstone::telemetry {
+
+// Splits TraceRing::Record into its claim and its store, so a test can
+// run a writer that stalls between the two.
+class TraceRingTestPeer {
+ public:
+  static std::uint64_t Claim(TraceRing& ring) {
+    return ring.next_seq_.fetch_add(1, std::memory_order_relaxed);
+  }
+  static void Store(TraceRing& ring, TraceRecord record) {
+    ring.Store(std::move(record));
+  }
+};
+
 namespace {
 
 TEST(TraceBufferTest, RecordsInOrder) {
-  TraceBuffer buffer(8);
+  TraceRing buffer(8);
   for (std::uint64_t i = 0; i < 3; ++i) {
-    SpanRecord span;
+    TraceRecord span;
     span.name = "s";
     span.start_ns = i;
     buffer.Record(span);
@@ -24,14 +37,14 @@ TEST(TraceBufferTest, RecordsInOrder) {
 }
 
 TEST(TraceBufferTest, RingWrapsOverwritingOldest) {
-  TraceBuffer buffer(4);
+  TraceRing buffer(4);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    SpanRecord span;
+    TraceRecord span;
     span.name = "s";
     span.start_ns = i;
     buffer.Record(span);
   }
-  EXPECT_EQ(buffer.size(), 4u);
+  EXPECT_EQ(buffer.Snapshot().size(), 4u);
   EXPECT_EQ(buffer.total_recorded(), 10u);
   const auto spans = buffer.Snapshot();
   ASSERT_EQ(spans.size(), 4u);
@@ -40,25 +53,49 @@ TEST(TraceBufferTest, RingWrapsOverwritingOldest) {
   EXPECT_EQ(spans[3].start_ns, 9u);
 }
 
+// Two writers claim seqs 1 and 2 of a one-slot ring, and the first one
+// stalls past the second's store. The ring keeps seq 2, the newest, and
+// counts the stale record as the one dropped.
+TEST(TraceBufferTest, StalledWriterDoesNotOverwriteANewerRecord) {
+  Counter overwrites;
+  TraceRing ring(1, &overwrites);
+  TraceRecord stale;
+  stale.name = "stale";
+  stale.seq = TraceRingTestPeer::Claim(ring);
+  TraceRecord newest;
+  newest.name = "newest";
+  newest.seq = TraceRingTestPeer::Claim(ring);
+  TraceRingTestPeer::Store(ring, newest);
+  TraceRingTestPeer::Store(ring, stale);
+
+  const auto records = ring.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].seq, newest.seq);
+  EXPECT_EQ(std::string(records[0].name), "newest");
+  EXPECT_EQ(ring.total_recorded(), 2u);
+  EXPECT_EQ(ring.dropped(), 1u);
+  EXPECT_EQ(overwrites.value(), 1u);
+}
+
 TEST(TraceBufferTest, ClearEmptiesRetainedRecords) {
-  TraceBuffer buffer(4);
-  SpanRecord span;
+  TraceRing buffer(4);
+  TraceRecord span;
   span.name = "s";
   buffer.Record(span);
   buffer.Clear();
-  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(buffer.Snapshot().size(), 0u);
   EXPECT_TRUE(buffer.Snapshot().empty());
 }
 
 TEST(ScopedSpanTest, NestedSpansRecordDepthAndCloseInnerFirst) {
-  TraceBuffer::Global().Clear();
+  TraceRing::Spans().Clear();
   {
     TELEM_SPAN("test.outer");
     {
       TELEM_SPAN("test.inner");
     }
   }
-  const auto spans = TraceBuffer::Global().Snapshot();
+  const auto spans = TraceRing::Spans().Snapshot();
   ASSERT_GE(spans.size(), 2u);
   const auto& inner = spans[spans.size() - 2];
   const auto& outer = spans[spans.size() - 1];
@@ -86,7 +123,7 @@ TEST(TraceContextTest, ScopeBindsNestsAndRestores) {
 }
 
 TEST(TraceContextTest, SpansRecordedInScopeCarryTheTraceId) {
-  TraceBuffer::Global().Clear();
+  TraceRing::Spans().Clear();
   {
     TraceContextScope scope(0xabcd);
     TELEM_SPAN("test.traced");
@@ -94,7 +131,7 @@ TEST(TraceContextTest, SpansRecordedInScopeCarryTheTraceId) {
   {
     TELEM_SPAN("test.untraced");
   }
-  const auto spans = TraceBuffer::Global().Snapshot();
+  const auto spans = TraceRing::Spans().Snapshot();
   ASSERT_GE(spans.size(), 2u);
   EXPECT_EQ(spans[spans.size() - 2].trace_id, 0xabcdu);
   EXPECT_EQ(spans[spans.size() - 1].trace_id, 0u);
@@ -111,7 +148,7 @@ TEST(ScopedSpanTest, SpanFeedsRegistryHistogram) {
 }
 
 TEST(ScopedSpanTest, SiblingSpansShareDepth) {
-  TraceBuffer::Global().Clear();
+  TraceRing::Spans().Clear();
   {
     TELEM_SPAN("test.parent");
     {
@@ -121,7 +158,7 @@ TEST(ScopedSpanTest, SiblingSpansShareDepth) {
       TELEM_SPAN("test.second");
     }
   }
-  const auto spans = TraceBuffer::Global().Snapshot();
+  const auto spans = TraceRing::Spans().Snapshot();
   ASSERT_GE(spans.size(), 3u);
   const auto& first = spans[spans.size() - 3];
   const auto& second = spans[spans.size() - 2];

@@ -36,8 +36,8 @@
 // --heatmap-half-life-ms (decay half-life for all access-heat channels;
 // 0 = never decays).
 //
-// --dump-trace PATH writes the full span ring as Chrome trace-event JSON
-// on shutdown — drag it into ui.perfetto.dev.
+// --dump-trace PATH writes the span and event rings as Chrome trace-event
+// JSON on shutdown — drag it into ui.perfetto.dev.
 
 #include <chrono>
 #include <csignal>
@@ -59,7 +59,7 @@
 #include "storage/tier/compactor.h"
 #include "storage/tier/tier_store.h"
 #include "telemetry/export.h"
-#include "telemetry/flight_recorder.h"
+#include "telemetry/trace.h"
 #include "telemetry/metrics.h"
 #include "telemetry/observatory.h"
 #include "telemetry/trace_export.h"
@@ -293,33 +293,34 @@ int main(int argc, char** argv) {
     admin.AddRoute(
         "/trace", "application/json",
         HttpEndpoint::QueryHandler([](const HttpEndpoint::QueryParams& q) {
-          const auto spans =
-              gemstone::telemetry::TraceBuffer::Global().Snapshot();
           const std::size_t limit =
               HttpEndpoint::UintParam(q, "limit", 64, 4096);
           const auto it = q.find("id");
           if (it == q.end()) {
-            return gemstone::telemetry::TraceIndexJson(spans, limit);
+            return gemstone::telemetry::TraceIndexJson(
+                gemstone::telemetry::TraceRing::Spans().Snapshot(), limit);
           }
           std::uint64_t id = 0;
           ParseUint(it->second.c_str(), &id);
-          return gemstone::telemetry::TraceEventsJson(spans, id, 0);
+          return gemstone::telemetry::TraceEventsJson(
+              gemstone::telemetry::TraceSnapshot(), id, 0);
         }));
     admin.AddRoute(
         "/flightrec", "application/json",
         HttpEndpoint::QueryHandler([](const HttpEndpoint::QueryParams& q) {
           const std::size_t limit =
               HttpEndpoint::UintParam(q, "limit", 256, 4096);
-          return gemstone::telemetry::FlightRecorder::Global().DumpJson(
-              limit);
+          return gemstone::telemetry::EventsJson(
+              gemstone::telemetry::TraceRing::Events(), limit);
         }));
     admin.AddRoute(
         "/slowlog", "application/json",
         HttpEndpoint::QueryHandler([](const HttpEndpoint::QueryParams& q) {
           const std::size_t limit =
               HttpEndpoint::UintParam(q, "limit", 256, 4096);
-          return gemstone::telemetry::FlightRecorder::Global().DumpJsonOfKind(
-              gemstone::telemetry::FlightEventKind::kSlowRequest, limit);
+          return gemstone::telemetry::EventsJson(
+              gemstone::telemetry::TraceRing::Events(), limit,
+              gemstone::telemetry::TraceKind::kSlowRequest);
         }));
     admin.AddRoute("/healthz", "text/plain", [] { return "ok\n"; });
     const gemstone::Status admin_started = admin.Start();
@@ -363,7 +364,7 @@ int main(int argc, char** argv) {
 
   if (!dump_trace_path.empty()) {
     const std::string json = gemstone::telemetry::TraceEventsJson(
-        gemstone::telemetry::TraceBuffer::Global().Snapshot(), 0);
+        gemstone::telemetry::TraceSnapshot(), 0);
     std::ofstream file(dump_trace_path, std::ios::trunc);
     file << json << "\n";
     if (file) {
