@@ -110,7 +110,19 @@ opal::Interpreter* Executor::interpreter(SessionId id) {
 }
 
 Result<Value> Executor::Execute(SessionId session, std::string_view source) {
+  return ExecuteIn(interpreter(session), session, source);
+}
+
+Result<std::string> Executor::ExecuteToString(SessionId session,
+                                              std::string_view source) {
   opal::Interpreter* interp = interpreter(session);
+  GS_ASSIGN_OR_RETURN(Value result, ExecuteIn(interp, session, source));
+  return interp->DefaultPrintString(result);
+}
+
+Result<Value> Executor::ExecuteIn(opal::Interpreter* interp,
+                                  SessionId session,
+                                  std::string_view source) {
   if (interp == nullptr) {
     return Status::NotFound("no such session: " + std::to_string(session));
   }
@@ -119,12 +131,6 @@ Result<Value> Executor::Execute(SessionId session, std::string_view source) {
   opal::Compiler compiler(&memory_);
   GS_ASSIGN_OR_RETURN(auto body, compiler.CompileBody(source));
   return interp->Run(std::move(body));
-}
-
-Result<std::string> Executor::ExecuteToString(SessionId session,
-                                              std::string_view source) {
-  GS_ASSIGN_OR_RETURN(Value result, Execute(session, source));
-  return interpreter(session)->DefaultPrintString(result);
 }
 
 namespace {

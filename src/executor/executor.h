@@ -128,6 +128,12 @@ class Executor {
 
   void Bootstrap();
 
+  /// Execute against `session`'s interpreter, already looked up (null
+  /// when there is no such session), so callers that need it afterwards
+  /// look it up once.
+  Result<Value> ExecuteIn(opal::Interpreter* interp, SessionId session,
+                          std::string_view source);
+
   /// Resolves each named free variable from the globals and exports its
   /// object graph at the session's effective time; `exported` keeps the
   /// values' addresses stable for the Bindings.

@@ -17,11 +17,15 @@ using TrackId = std::uint32_t;
 /// read/write/seek deposits one unit of heat on its track; heat halves
 /// every `half_life_ns`, so the map converges on *recent* access density
 /// rather than accumulating forever like the raw `disk.*` counters.
-/// Accesses are classified current-state vs. historical (time-dial reads,
-/// telemetry::ThreadAccessIsHistorical) — the split ROADMAP item 4's
-/// compaction policy needs: tracks hot with *current* traffic should
-/// cluster near their directory; tracks hot only with *historical* reads
-/// are audit traffic over settled data.
+/// Accesses are classified current-state vs. historical — the split the
+/// tier compactor's policy reads (DESIGN.md §15.3): tracks hot with
+/// *current* traffic should cluster near their directory; tracks hot
+/// only with *historical* reads are audit traffic over settled data.
+/// Historical means a time-dial read (the session's dial, an explicit
+/// `@T`, a History walk): device I/O under one is classified by
+/// telemetry::ThreadAccessIsHistorical, and the transaction manager also
+/// deposits once per extent track of the object read. A snapshot-pinned
+/// read stands in for a current read and deposits nothing here.
 ///
 /// Decay is applied lazily per track at record/query time (no background
 /// work): heat' = heat * 2^(-dt / half_life) before each deposit.

@@ -13,9 +13,9 @@ thread_local bool tls_historical_access = false;
 
 bool ThreadAccessIsHistorical() { return tls_historical_access; }
 
-HistoricalAccessScope::HistoricalAccessScope()
+HistoricalAccessScope::HistoricalAccessScope(bool historical)
     : saved_(tls_historical_access) {
-  tls_historical_access = true;
+  tls_historical_access = saved_ || historical;
 }
 
 HistoricalAccessScope::~HistoricalAccessScope() {

@@ -23,16 +23,20 @@ IoTally& ThreadIoTally();
 /// True while the calling thread is serving a time-dial read — a view of
 /// the past, not of current state. The storage layer reads this flag to
 /// classify each track access into the heatmap's current/historical
-/// split, which is what lets compaction (ROADMAP item 4) distinguish
+/// split, which is what lets compaction (DESIGN.md §15) distinguish
 /// "hot because the workload lives here" from "hot because someone is
-/// auditing last week".
+/// auditing last week". A snapshot-pinned read resolves at a past time
+/// but stands in for a current read, so it does not set the flag.
 bool ThreadAccessIsHistorical();
 
 /// RAII: marks the calling thread's storage accesses historical for the
-/// scope's lifetime. Nests; the previous classification is restored.
+/// scope's lifetime when `historical` is true; false leaves the current
+/// classification as it is. The transaction manager holds one over each
+/// time-dial read, tier resolves included. Nests; the previous
+/// classification is restored.
 class HistoricalAccessScope {
  public:
-  HistoricalAccessScope();
+  explicit HistoricalAccessScope(bool historical = true);
   ~HistoricalAccessScope();
   HistoricalAccessScope(const HistoricalAccessScope&) = delete;
   HistoricalAccessScope& operator=(const HistoricalAccessScope&) = delete;

@@ -129,7 +129,8 @@ Result<Oid> Session::Create(Oid class_oid) {
 Result<Value> Session::ReadNamed(Oid oid, SymbolId name) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->ReadNamed(txn_.get(), oid, name, EffectiveTime());
+  return manager_->ReadNamed(txn_.get(), oid, name, EffectiveTime(),
+                             EffectiveAccounting());
 }
 
 Result<Value> Session::ReadNamedAt(Oid oid, SymbolId name, TxnTime at) {
@@ -147,7 +148,8 @@ Status Session::WriteNamed(Oid oid, SymbolId name, Value value) {
 Result<Value> Session::ReadIndexed(Oid oid, std::size_t index) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->ReadIndexed(txn_.get(), oid, index, EffectiveTime());
+  return manager_->ReadIndexed(txn_.get(), oid, index, EffectiveTime(),
+                               EffectiveAccounting());
 }
 
 Result<Value> Session::ReadIndexedAt(Oid oid, std::size_t index, TxnTime at) {
@@ -171,7 +173,8 @@ Result<std::size_t> Session::AppendIndexed(Oid oid, Value value) {
 Result<std::size_t> Session::IndexedSize(Oid oid) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->IndexedSize(txn_.get(), oid, EffectiveTime());
+  return manager_->IndexedSize(txn_.get(), oid, EffectiveTime(),
+                               EffectiveAccounting());
 }
 
 Result<Oid> Session::ClassOfObject(Oid oid) {
@@ -184,7 +187,8 @@ Result<std::vector<std::pair<SymbolId, Value>>> Session::ListNamed(
     Oid oid, bool skip_unbound) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->ListNamed(txn_.get(), oid, EffectiveTime(), skip_unbound);
+  return manager_->ListNamed(txn_.get(), oid, EffectiveTime(), skip_unbound,
+                             EffectiveAccounting());
 }
 
 Result<std::vector<Association>> Session::History(Oid oid, SymbolId name) {
@@ -196,7 +200,8 @@ Result<std::vector<Association>> Session::History(Oid oid, SymbolId name) {
 Result<bool> Session::DeepEquals(const Value& a, const Value& b) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->DeepEquals(txn_.get(), a, b, EffectiveTime());
+  return manager_->DeepEquals(txn_.get(), a, b, EffectiveTime(),
+                              EffectiveAccounting());
 }
 
 }  // namespace gemstone::txn

@@ -64,12 +64,13 @@ class Session {
   //
   // Pinning behaves like a transient time dial at SafeTime: every read
   // resolves against the pinned committed state (so it records nothing in
-  // the read set and never consults the workspace), and every side effect
-  // — object writes, creates, global assignment, schema or directory
-  // mutation — fails with kReadOnlyRetry instead of executing. The
-  // gateway pins a query optimistically; a retry status means "this
-  // block writes after all", and the gateway unpins and reruns the
-  // request in place.
+  // the read set and never consults the workspace) yet is accounted as
+  // the current read it stands in for (no `txn.historical_reads`, no
+  // historical heat), and every side effect — object writes, creates,
+  // global assignment, schema or directory mutation — fails with
+  // kReadOnlyRetry instead of executing. The gateway pins a query
+  // optimistically; a retry status means "this block writes after all",
+  // and the gateway unpins and reruns the request in place.
   //
   // Only pin a session whose transaction is fresh (nothing read at now,
   // nothing written or created): pinned reads escape commit-time
@@ -123,6 +124,13 @@ class Session {
  private:
   Status RequireActive() const;
   Status RequireWritable() const;
+
+  /// How reads at EffectiveTime() are accounted: a dial read is time-dial
+  /// traffic; a pinned read stands in for the current read it replaces.
+  ReadAccounting EffectiveAccounting() const {
+    return dial_.has_value() ? ReadAccounting::kHistorical
+                             : ReadAccounting::kCurrent;
+  }
 
 #ifdef GS_THREAD_SAFETY
   /// RAII reentrancy detector entered by every fallible public method.

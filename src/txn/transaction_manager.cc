@@ -35,23 +35,26 @@ TransactionManager::TransactionManager(ObjectMemory* memory,
                             std::memory_order_relaxed)));
           })) {}
 
-void TransactionManager::NoteHistoricalRead(Oid oid) {
-  historical_reads_.Increment();
-  if (engine_ != nullptr) {
-    // Marks the access historical for any device I/O this read causes
-    // *and* heats the extent tracks directly for the in-memory case.
-    telemetry::HistoricalAccessScope historical;
-    engine_->NoteHistoricalObjectAccess(oid);
+bool TransactionManager::NoteRead(Transaction* txn, Oid oid, TxnTime at,
+                                  ReadAccounting accounting) {
+  if (at == kTimeNow) {
+    txn->read_set_.insert(oid.raw);
+    const std::uint64_t n = txn->read_set_.size();
+    std::uint64_t peak = read_set_peak_.load(std::memory_order_relaxed);
+    while (n > peak &&
+           !read_set_peak_.compare_exchange_weak(peak, n,
+                                                 std::memory_order_relaxed)) {
+    }
+    return false;
   }
+  if (accounting == ReadAccounting::kCurrent) return false;
+  NoteHistoricalRead(oid);
+  return true;
 }
 
-void TransactionManager::NoteReadRecorded(const Transaction& txn) {
-  const std::uint64_t n = txn.read_set_.size();
-  std::uint64_t peak = read_set_peak_.load(std::memory_order_relaxed);
-  while (n > peak &&
-         !read_set_peak_.compare_exchange_weak(peak, n,
-                                               std::memory_order_relaxed)) {
-  }
+void TransactionManager::NoteHistoricalRead(Oid oid) {
+  historical_reads_.Increment();
+  if (engine_ != nullptr) engine_->NoteHistoricalObjectAccess(oid);
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin(SessionId session,
@@ -446,19 +449,16 @@ Transaction::DirtyMarks* TransactionManager::MarksFor(Transaction* txn,
 }
 
 Result<Value> TransactionManager::ReadNamed(Transaction* txn, Oid oid,
-                                            SymbolId name, TxnTime at) {
+                                            SymbolId name, TxnTime at,
+                                            ReadAccounting accounting) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
   GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
   GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  if (at == kTimeNow) {
-    txn->read_set_.insert(oid.raw);
-    NoteReadRecorded(*txn);
-  } else {
-    NoteHistoricalRead(oid);
-  }
+  telemetry::HistoricalAccessScope io_class(
+      NoteRead(txn, oid, at, accounting));
   if (RoutesToTierLocked(*object, at)) {
     // Below the floor the resident table holds only the creation marker
     // and carry-forward; the cold runs hold every binding <= the floor,
@@ -487,19 +487,16 @@ Status TransactionManager::WriteNamed(Transaction* txn, Oid oid, SymbolId name,
 }
 
 Result<Value> TransactionManager::ReadIndexed(Transaction* txn, Oid oid,
-                                              std::size_t index, TxnTime at) {
+                                              std::size_t index, TxnTime at,
+                                              ReadAccounting accounting) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
   GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
   GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  if (at == kTimeNow) {
-    txn->read_set_.insert(oid.raw);
-    NoteReadRecorded(*txn);
-  } else {
-    NoteHistoricalRead(oid);
-  }
+  telemetry::HistoricalAccessScope io_class(
+      NoteRead(txn, oid, at, accounting));
   // The bounds check needs no tier trip: slot creation markers survive
   // truncation, so IndexedSizeAt stays exact at every time.
   if (index >= object->IndexedSizeAt(at)) {
@@ -546,20 +543,15 @@ Result<std::size_t> TransactionManager::AppendIndexed(Transaction* txn,
   return index;
 }
 
-Result<std::size_t> TransactionManager::IndexedSize(Transaction* txn, Oid oid,
-                                                    TxnTime at) {
+Result<std::size_t> TransactionManager::IndexedSize(
+    Transaction* txn, Oid oid, TxnTime at, ReadAccounting accounting) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
   GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
   GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  if (at == kTimeNow) {
-    txn->read_set_.insert(oid.raw);
-    NoteReadRecorded(*txn);
-  } else {
-    NoteHistoricalRead(oid);
-  }
+  NoteRead(txn, oid, at, accounting);  // no tier trip to classify
   return object->IndexedSizeAt(at);
 }
 
@@ -573,19 +565,16 @@ Result<Oid> TransactionManager::ClassOfObject(Transaction* txn, Oid oid) {
 }
 
 Result<std::vector<std::pair<SymbolId, Value>>> TransactionManager::ListNamed(
-    Transaction* txn, Oid oid, TxnTime at, bool skip_unbound) {
+    Transaction* txn, Oid oid, TxnTime at, bool skip_unbound,
+    ReadAccounting accounting) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
   GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
   GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  if (at == kTimeNow) {
-    txn->read_set_.insert(oid.raw);
-    NoteReadRecorded(*txn);
-  } else {
-    NoteHistoricalRead(oid);
-  }
+  telemetry::HistoricalAccessScope io_class(
+      NoteRead(txn, oid, at, accounting));
   std::vector<std::pair<SymbolId, Value>> out;
   if (RoutesToTierLocked(*object, at)) {
     // Element existence is resident (names are never truncated); each
@@ -627,6 +616,7 @@ Result<std::vector<Association>> TransactionManager::History(Transaction* txn,
     return Status::NotFound("element never bound");
   }
   NoteHistoricalRead(oid);  // a history walk is time-dial traffic
+  telemetry::HistoricalAccessScope io_class;
   if (tiers_ != nullptr && object->history_floor() > kTimeOrigin) {
     // Merge the demoted prefix back in. Cold runs re-emit the creation
     // marker and carry-forward the resident table also keeps, so fold by
@@ -649,11 +639,14 @@ Result<std::vector<Association>> TransactionManager::History(Transaction* txn,
 }
 
 Result<bool> TransactionManager::DeepEquals(Transaction* txn, const Value& a,
-                                            const Value& b, TxnTime at) {
+                                            const Value& b, TxnTime at,
+                                            ReadAccounting accounting) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
+  telemetry::HistoricalAccessScope io_class(
+      at != kTimeNow && accounting == ReadAccounting::kHistorical);
   std::unordered_map<std::uint64_t, std::uint64_t> assumed;
   return DeepEqualsLocked(txn, a, b, at, &assumed);
 }

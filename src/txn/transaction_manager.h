@@ -51,6 +51,15 @@ struct TxnStats {
   std::uint64_t commit_storage_failures = 0;  // aborts from the safe write
 };
 
+/// How a read of committed state at a past time is accounted (DESIGN.md
+/// §12, §14). A time-dial read (the session's dial, an explicit `@T`) is
+/// historical traffic: it counts in `txn.historical_reads`, heats the
+/// object's extent on the heatmap's historical channel, and classifies
+/// the tier reads it makes as historical. A snapshot-pinned read resolves
+/// at its pinned time too, but stands in for a current read and records
+/// none of that. Reads at kTimeNow are current whatever the tag.
+enum class ReadAccounting : std::uint8_t { kHistorical, kCurrent };
+
 /// The shared Transaction Manager (§6): "handles concurrent use of the
 /// permanent database in an optimistic manner", plus the per-session data
 /// access interface of the Object Manager.
@@ -169,19 +178,22 @@ class TransactionManager : public storage::tier::HistorySource {
   /// Reads `oid`'s element `name` at `at` (kTimeNow = the transaction's
   /// own view: workspace first, then the committed current state). Reads
   /// of past states are not recorded in the read set — history is
-  /// immutable and cannot conflict.
-  Result<Value> ReadNamed(Transaction* txn, Oid oid, SymbolId name,
-                          TxnTime at = kTimeNow);
+  /// immutable and cannot conflict — and are accounted per `accounting`.
+  Result<Value> ReadNamed(
+      Transaction* txn, Oid oid, SymbolId name, TxnTime at = kTimeNow,
+      ReadAccounting accounting = ReadAccounting::kHistorical);
 
   Status WriteNamed(Transaction* txn, Oid oid, SymbolId name, Value value);
 
-  Result<Value> ReadIndexed(Transaction* txn, Oid oid, std::size_t index,
-                            TxnTime at = kTimeNow);
+  Result<Value> ReadIndexed(
+      Transaction* txn, Oid oid, std::size_t index, TxnTime at = kTimeNow,
+      ReadAccounting accounting = ReadAccounting::kHistorical);
   Status WriteIndexed(Transaction* txn, Oid oid, std::size_t index,
                       Value value);
   Result<std::size_t> AppendIndexed(Transaction* txn, Oid oid, Value value);
-  Result<std::size_t> IndexedSize(Transaction* txn, Oid oid,
-                                  TxnTime at = kTimeNow);
+  Result<std::size_t> IndexedSize(
+      Transaction* txn, Oid oid, TxnTime at = kTimeNow,
+      ReadAccounting accounting = ReadAccounting::kHistorical);
 
   /// The object's class (identity-stable over time).
   Result<Oid> ClassOfObject(Transaction* txn, Oid oid);
@@ -190,15 +202,20 @@ class TransactionManager : public storage::tier::HistorySource {
   /// is true, elements whose value is nil are omitted (set iteration).
   Result<std::vector<std::pair<SymbolId, Value>>> ListNamed(
       Transaction* txn, Oid oid, TxnTime at = kTimeNow,
-      bool skip_unbound = true);
+      bool skip_unbound = true,
+      ReadAccounting accounting = ReadAccounting::kHistorical);
 
-  /// Full history of one element (committed state only).
+  /// Full history of one element (committed state only). Always
+  /// historical traffic.
   Result<std::vector<Association>> History(Transaction* txn, Oid oid,
                                            SymbolId name);
 
-  /// Structural equivalence of two values at `at` (committed state).
-  Result<bool> DeepEquals(Transaction* txn, const Value& a, const Value& b,
-                          TxnTime at = kTimeNow);
+  /// Structural equivalence of two values at `at` (committed state). The
+  /// tier reads it makes below a history floor are classified per
+  /// `accounting`.
+  Result<bool> DeepEquals(
+      Transaction* txn, const Value& a, const Value& b, TxnTime at = kTimeNow,
+      ReadAccounting accounting = ReadAccounting::kHistorical);
 
  private:
   /// The transaction's readable view of `oid` (workspace copy if present,
@@ -297,16 +314,21 @@ class TransactionManager : public storage::tier::HistorySource {
   /// never be read.
   static Transaction::DirtyMarks* MarksFor(Transaction* txn, Oid oid);
 
-  /// Tracks the high-water mark of any transaction's read set
-  /// (`txn.read_set_peak`): evidence for how much validation state
-  /// long-lived mutating sessions accumulate. Snapshot-pinned reads
-  /// resolve at a past time and record nothing, so they never move this.
-  void NoteReadRecorded(const Transaction& txn);
+  /// Accounts one read of `oid` at `at`. A read at kTimeNow joins the
+  /// read set and moves its high-water mark (`txn.read_set_peak`:
+  /// evidence for how much validation state long-lived mutating sessions
+  /// accumulate). A historical one (a past `at` under kHistorical) bumps
+  /// `txn.historical_reads` and, when an engine is attached, deposits
+  /// historical heat on `oid`'s extent tracks (see
+  /// StorageEngine::NoteHistoricalObjectAccess), so history served from
+  /// memory still shows up on the heatmap's time-dial side. A pinned read
+  /// (a past `at` under kCurrent) records nothing. Returns whether the
+  /// read is historical: the caller holds a HistoricalAccessScope of that
+  /// value over the rest of the read, tier resolves included.
+  bool NoteRead(Transaction* txn, Oid oid, TxnTime at,
+                ReadAccounting accounting) GS_REQUIRES_SHARED(store_mu_);
 
-  /// Accounts one time-dial read: bumps `txn.historical_reads` and, when
-  /// an engine is attached, deposits historical heat on `oid`'s extent
-  /// tracks (see StorageEngine::NoteHistoricalObjectAccess) — history
-  /// served from memory still shows up on the heatmap's time-dial side.
+  /// The historical half of NoteRead; History walks call it directly.
   void NoteHistoricalRead(Oid oid) GS_REQUIRES_SHARED(store_mu_);
 
   /// Authorization hooks: a transaction's own created objects are always

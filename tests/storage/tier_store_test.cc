@@ -16,6 +16,7 @@
 #include "storage/tier/cold_run.h"
 #include "storage/tier/compactor.h"
 #include "storage/tier/tier_store.h"
+#include "txn/session.h"
 #include "txn/transaction_manager.h"
 
 namespace gemstone::storage::tier {
@@ -494,6 +495,90 @@ TEST_F(TierManagerTest, HotObjectsAreSkipped) {
   EXPECT_EQ(pass.value(), 0u);
   EXPECT_GT(compactor.stats().skipped_hot, 0u);
   EXPECT_EQ(memory_.Find(oid)->history_floor(), kTimeOrigin);
+}
+
+TEST_F(TierManagerTest, SubFloorDialReadsAreHistoricalLevelTraffic) {
+  const Oid oid = CreateOne();
+  const SymbolId x = memory_.symbols().Intern("x");
+  const std::vector<TxnTime> times = CommitVersions(oid, x, 12, 0);
+
+  CompactorOptions copts;
+  copts.min_versions = 2;
+  TierCompactor compactor(&tiers_, &manager_, copts);
+  ASSERT_TRUE(compactor.RunOncePass().ok());
+  ASSERT_GT(memory_.Find(oid)->history_floor(), times.front());
+
+  const auto level_accesses = [&](bool historical) {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < tiers_.cold_levels(); ++i) {
+      const TrackHeatmap& heat = tiers_.level_disk(i)->heatmap();
+      n += historical ? heat.historical_accesses() : heat.current_accesses();
+    }
+    return n;
+  };
+  const std::uint64_t current = level_accesses(false);
+  const std::uint64_t historical = level_accesses(true);
+
+  // A dial read below the floor resolves through the cold runs: the
+  // level tracks it reads are audit traffic, not current-state traffic.
+  auto reader = manager_.Begin(1);
+  EXPECT_EQ(manager_.ReadNamed(reader.get(), oid, x, times.front())
+                .ValueOrDie(),
+            Value::Integer(0));
+  EXPECT_GT(level_accesses(true), historical);
+  EXPECT_EQ(level_accesses(false), current);
+
+  // So is a structural comparison at that time.
+  const Oid other = CreateOne();
+  const std::uint64_t before_compare = level_accesses(true);
+  EXPECT_FALSE(manager_
+                   .DeepEquals(reader.get(), Value::Ref(oid),
+                               Value::Ref(other), times.front())
+                   .ValueOrDie());
+  EXPECT_GT(level_accesses(true), before_compare);
+  EXPECT_EQ(level_accesses(false), current);
+}
+
+TEST_F(TierManagerTest, PinnedReadsLeaveHistoryColdForDemotion) {
+  const Oid oid = CreateOne();
+  const SymbolId x = memory_.symbols().Intern("x");
+  CommitVersions(oid, x, 10, 0);
+
+  // The gateway's pinned reads stand in for current reads: however many
+  // there are, they leave the object's history cold.
+  txn::Session session(&manager_, 1);
+  ASSERT_TRUE(session.Begin().ok());
+  for (int i = 0; i < 20; ++i) {
+    txn::SnapshotPin pin(&session, manager_.SafeTime());
+    ASSERT_TRUE(session.ReadNamed(oid, x).ok());
+  }
+  ASSERT_TRUE(session.Commit().ok());
+
+  CompactorOptions copts;  // the default max_historical_heat
+  copts.min_versions = 2;
+  TierCompactor compactor(&tiers_, &manager_, copts);
+  auto pass = compactor.RunOncePass();
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass.value(), 1u);
+  EXPECT_EQ(compactor.stats().skipped_hot, 0u);
+  const TxnTime floor = memory_.Find(oid)->history_floor();
+  EXPECT_GT(floor, kTimeOrigin);
+
+  // The same reads under a dial are audit traffic: the object stays.
+  CommitVersions(oid, x, 10, 100);
+  ASSERT_TRUE(session.Begin().ok());
+  session.SetTimeDial(manager_.SafeTime());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(session.ReadNamed(oid, x).ok());
+  }
+  session.ClearTimeDial();
+  ASSERT_TRUE(session.Commit().ok());
+
+  pass = compactor.RunOncePass();
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  EXPECT_EQ(pass.value(), 0u);
+  EXPECT_GT(compactor.stats().skipped_hot, 0u);
+  EXPECT_EQ(memory_.Find(oid)->history_floor(), floor);
 }
 
 TEST_F(TierManagerTest, CompactorLifecycleIsIdempotent) {

@@ -1,11 +1,15 @@
 // Snapshot-pin semantics (the gateway's lock-free read path, DESIGN.md
 // §12): pinned reads resolve at the pinned commit time and record
-// nothing, every side effect bounces with kReadOnlyRetry before mutating
-// anything, the time dial takes precedence over a pin, and the tiered
-// commit releases access-free transactions without store-lock work.
+// nothing, not even historical heat, every side effect bounces with
+// kReadOnlyRetry before mutating anything, the time dial takes precedence
+// over a pin, and the tiered commit releases access-free transactions
+// without store-lock work.
 
 #include <gtest/gtest.h>
 
+#include "storage/simulated_disk.h"
+#include "storage/storage_engine.h"
+#include "telemetry/metrics.h"
 #include "txn/session.h"
 
 namespace gemstone::txn {
@@ -13,9 +17,22 @@ namespace {
 
 class SnapshotReadTest : public ::testing::Test {
  protected:
-  SnapshotReadTest() : manager_(&memory_), session_(&manager_, 1) {}
+  SnapshotReadTest()
+      : disk_(256, 4096),
+        engine_(&disk_),
+        manager_(&memory_, &engine_),
+        session_(&manager_, 1) {
+    EXPECT_TRUE(engine_.Format().ok());
+    EXPECT_TRUE(engine_.Open().ok());
+  }
 
   SymbolId Sym(std::string_view s) { return memory_.symbols().Intern(s); }
+
+  static std::uint64_t HistoricalReads() {
+    return telemetry::MetricsRegistry::Global()
+        .Snapshot()
+        .counters["txn.historical_reads"];
+  }
 
   /// A committed object with element x = `value`, visible to everyone.
   Oid CommittedObject(std::int64_t value) {
@@ -30,6 +47,8 @@ class SnapshotReadTest : public ::testing::Test {
     return oid;
   }
 
+  storage::SimulatedDisk disk_;
+  storage::StorageEngine engine_;
   ObjectMemory memory_;
   TransactionManager manager_;
   Session session_;
@@ -52,6 +71,38 @@ TEST_F(SnapshotReadTest, PinnedReadsRecordNothing) {
   EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
             Value::Integer(7));
   EXPECT_EQ(session_.transaction()->read_set_size(), 1u);
+}
+
+TEST_F(SnapshotReadTest, PinnedReadsAreAccountedAsCurrentReads) {
+  const Oid oid = CommittedObject(7);
+  ASSERT_TRUE(session_.Begin().ok());
+  const storage::TrackHeatmap& heat = disk_.heatmap();
+  const std::uint64_t reads = HistoricalReads();
+  const std::uint64_t heat_deposits = heat.historical_accesses();
+
+  {
+    SnapshotPin pin(&session_, manager_.SafeTime());
+    EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
+              Value::Integer(7));
+    EXPECT_EQ(session_.IndexedSize(oid).ValueOrDie(), 0u);
+    EXPECT_EQ(session_.ListNamed(oid).ValueOrDie().size(), 1u);
+  }
+  EXPECT_EQ(HistoricalReads(), reads);
+  EXPECT_EQ(heat.historical_accesses(), heat_deposits);
+
+  // The same reads under a dial are time-dial traffic, and so is an
+  // explicit-time read.
+  session_.SetTimeDial(manager_.SafeTime());
+  EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
+            Value::Integer(7));
+  EXPECT_EQ(session_.IndexedSize(oid).ValueOrDie(), 0u);
+  EXPECT_EQ(session_.ListNamed(oid).ValueOrDie().size(), 1u);
+  session_.ClearTimeDial();
+  EXPECT_EQ(session_.ReadNamedAt(oid, Sym("x"), manager_.SafeTime())
+                .ValueOrDie(),
+            Value::Integer(7));
+  EXPECT_EQ(HistoricalReads(), reads + 4);
+  EXPECT_GE(heat.historical_accesses(), heat_deposits + 4);
 }
 
 TEST_F(SnapshotReadTest, PinnedReadsSeeTheSnapshotNotLaterCommits) {
