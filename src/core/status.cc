@@ -38,8 +38,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "NotImplemented";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kReadOnlyRetry:
-      return "ReadOnlyRetry";
   }
   return "Unknown";
 }

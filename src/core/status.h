@@ -29,8 +29,6 @@ enum class StatusCode {
   kUnavailable,         // object migrated to archival media
   kNotImplemented,
   kInternal,            // invariant violation inside the library
-  kReadOnlyRetry,       // side effect under a snapshot pin; the gateway
-                        // reruns the request unpinned, never sends it
 };
 
 /// Returns a stable human-readable name, e.g. "TransactionConflict".
@@ -109,9 +107,6 @@ class [[nodiscard]] Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  static Status ReadOnlyRetry(std::string msg) {
-    return Status(StatusCode::kReadOnlyRetry, std::move(msg));
-  }
 
   bool ok() const { return rep_ == nullptr; }
   StatusCode code() const { return rep_ ? rep_->code : StatusCode::kOk; }
@@ -125,9 +120,6 @@ class [[nodiscard]] Status {
     return code() == StatusCode::kTransactionConflict;
   }
   bool IsIoError() const { return code() == StatusCode::kIoError; }
-  bool IsReadOnlyRetry() const {
-    return code() == StatusCode::kReadOnlyRetry;
-  }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

@@ -145,16 +145,25 @@ Status DirectoryManager::CreateDirectory(txn::Session* session,
   if (Find(collection, path) != nullptr) {
     return Status::AlreadyExists("directory already exists on that path");
   }
+  // The directory is shared and outlives the transaction, and only a
+  // registered one is maintained (NoteAdd/NoteRemove): a member missed
+  // here stays missed. So it is filled from the latest committed state
+  // plus the workspace, not from a snapshot pin that commits may have
+  // passed, and the request's later reads are current reads too.
+  if (session->transaction() != nullptr) session->transaction()->LeavePin();
   auto directory = std::make_unique<Directory>(collection, path);
-  // Populate from the collection's current members.
+  // Populate from the collection's members as the session reads them,
+  // stamped at the time they are read at: the dial, else now.
   GS_ASSIGN_OR_RETURN(auto members, session->ListNamed(collection));
-  const TxnTime now = session->manager().Now();
+  const TxnTime at = session->EffectiveTime() == kTimeNow
+                         ? session->manager().Now()
+                         : session->EffectiveTime();
   for (const auto& [name, member] : members) {
     GS_ASSIGN_OR_RETURN(Value key, ReadPath(session, member, path));
     if (!member.IsRef()) {
       return Status::TypeMismatch("directory members must be objects");
     }
-    directory->Add(key, member.ref(), now);
+    directory->Add(key, member.ref(), at);
   }
   MutexLock lock(mu_);
   directories_.push_back(std::move(directory));

@@ -98,7 +98,10 @@ class DirectoryManager {
   explicit DirectoryManager(ObjectMemory* memory) : memory_(memory) {}
 
   /// Builds a directory over `collection` discriminating on `path`,
-  /// populated from the members visible through `session` now.
+  /// populated from the members `session` reads, with entries stamped at
+  /// the time it reads them at: its dial, else now. It ends a snapshot pin
+  /// on the session's transaction (Transaction::LeavePin), so the members
+  /// are the latest committed ones plus the workspace's.
   Status CreateDirectory(txn::Session* session, Oid collection,
                          const std::vector<SymbolId>& path);
 

@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -133,7 +132,6 @@ Server::Server(executor::Executor* executor,
   request_timeouts_ = registry.GetCounter("net.request_timeouts");
   slow_requests_ = registry.GetCounter("net.slow_requests");
   read_path_requests_ = registry.GetCounter("net.read_path_requests");
-  read_path_retries_ = registry.GetCounter("net.read_path_retries");
   // Loopback stages sit in single-digit microseconds: these distributions
   // need the dense MicroLatencyBounds or the histogram cannot resolve
   // them (satellite fix — the default decade ladder put a 5 µs median in
@@ -952,19 +950,10 @@ Server::Reply Server::DispatchQuery(txn::Session* session,
     return Reply{MsgType::kOk, std::move(result).value()};
   };
 
-  if (session->SnapshotReadEligible()) {
-    // Pinned reads resolve against committed history and record nothing,
-    // so they can neither conflict nor be invalidated by concurrent
-    // commits. A dial already fixes an immutable view: no pin needed.
-    read_path_requests_->Increment();
-    std::optional<txn::SnapshotPin> pin;
-    if (!session->DialSet()) {
-      pin.emplace(session, executor_->transactions().SafeTime());
-    }
-    Result<std::string> result = run();
-    if (!result.status().IsReadOnlyRetry()) return reply(std::move(result));
-    read_path_retries_->Increment();
-  }
+  // Pinning moves a fresh transaction's start up to SafeTime; a dial
+  // already fixes an immutable view.
+  const txn::SnapshotPin pin(session, executor_->transactions().SafeTime());
+  if (pin.pinned() || session->DialSet()) read_path_requests_->Increment();
   return reply(run());
 }
 
@@ -996,8 +985,7 @@ std::string Server::StatusJson() const {
       << ",\"backpressure_stalls\":" << backpressure_stalls_->value()
       << ",\"request_timeouts\":" << request_timeouts_->value()
       << ",\"slow_requests\":" << slow_requests_->value()
-      << ",\"read_path_requests\":" << read_path_requests_->value()
-      << ",\"read_path_retries\":" << read_path_retries_->value() << "}";
+      << ",\"read_path_requests\":" << read_path_requests_->value() << "}";
 
   const auto hist_json = [&out](const char* name,
                                 const telemetry::Histogram* hist) {

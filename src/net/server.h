@@ -95,8 +95,10 @@ std::string_view RequestStageName(RequestStage stage);
 /// GS_THREAD_SAFETY builds by the Session owner assertion). Requests of
 /// different connections run side by side under no gateway lock: as in
 /// §6, sessions meet only in the Transaction Manager. A query on a session
-/// with a fresh transaction runs pinned to the SafeTime commit snapshot,
-/// and reruns unpinned in place if the code turns out to write.
+/// with a fresh transaction pins it to the SafeTime commit snapshot and
+/// runs once: its reads are recorded, its side effects run in place, and
+/// commit-time validation against the transaction's start (its first
+/// pin) covers both.
 class Server {
  public:
   /// `executor` must outlive the server. `auth`, when non-null, is
@@ -192,11 +194,10 @@ class Server {
   /// Runs one request on the connection's session; the one switch over
   /// message types. Holds no gateway lock.
   Reply Dispatch(Connection* conn, const Request& request);
-  /// Runs a query (ExecuteOpal, StdmQuery, Explain). A session whose view
-  /// is already immutable (a dial) or whose transaction has recorded no
-  /// access runs it on a snapshot: pinned to SafeTime unless dialed. If
-  /// the pinned code tries a side effect it answers kReadOnlyRetry before
-  /// mutating anything, and the query reruns unpinned, in place.
+  /// Runs a query (ExecuteOpal, StdmQuery, Explain), once. A fresh
+  /// transaction (nothing read, written or created) is pinned to SafeTime
+  /// for the request: its reads resolve there, its first pin becomes its
+  /// start, and a request that wrote nothing leaves it fresh again.
   Reply DispatchQuery(txn::Session* session, const Request& request);
   /// Renders a failure as a kError reply (and counts it).
   Reply ErrorReply(const Status& status);
@@ -265,9 +266,8 @@ class Server {
   telemetry::Counter* idle_timeouts_;
   telemetry::Counter* request_timeouts_;
   telemetry::Counter* slow_requests_;
-  /// Queries run on a snapshot, and those of them that reran unpinned.
+  /// Queries run on a snapshot: pinned, or under a time dial.
   telemetry::Counter* read_path_requests_;
-  telemetry::Counter* read_path_retries_;
   /// End-to-end latency (socket read to response flushed) and the four
   /// stage histograms it telescopes into: total = queue + execute +
   /// serialize + flush for every request, by construction.

@@ -300,10 +300,6 @@ Result<Value> Interpreter::Execute(Frame& frame) {
         break;
       }
       case Op::kStoreGlobal: {
-        if (session_->SnapshotPinned()) {
-          return Status::ReadOnlyRetry(
-              "global assignment on the snapshot read path");
-        }
         const Value& name = literals[u16()];
         globals_->Set(name.symbol(), stack.back());
         break;

@@ -843,22 +843,9 @@ Result<Value> PrimClassInstVarNames(Interpreter& interp,
   return Value::Ref(array);
 }
 
-/// Schema mutation touches shared state outside the transaction
-/// workspace, so a snapshot-pinned evaluation bounces with kReadOnlyRetry
-/// before mutating anything: the gateway then reruns the whole request
-/// unpinned, and a side effect made before the bounce would run twice.
-Status RequireSchemaWritable(Interpreter& interp, const char* what) {
-  if (interp.session().SnapshotPinned()) {
-    return Status::ReadOnlyRetry(std::string(what) +
-                                 " on the snapshot read path");
-  }
-  return Status::OK();
-}
-
 Result<Value> DefineSubclass(Interpreter& interp, const Value& receiver,
                              const Value& name_value,
                              const std::vector<std::string>& inst_vars) {
-  GS_RETURN_IF_ERROR(RequireSchemaWritable(interp, "class definition"));
   GS_ASSIGN_OR_RETURN(GsClass * super, ReceiverClass(interp, receiver));
   if (!name_value.IsString()) {
     return Status::TypeMismatch("subclass: needs a String name");
@@ -895,8 +882,6 @@ Result<Value> PrimSubclassInstVars(Interpreter& interp, const Value& receiver,
 
 Result<Value> PrimAddInstVarName(Interpreter& interp, const Value& receiver,
                                  std::vector<Value>& args) {
-  GS_RETURN_IF_ERROR(
-      RequireSchemaWritable(interp, "instance variable addition"));
   GS_ASSIGN_OR_RETURN(GsClass * cls, ReceiverClass(interp, receiver));
   bool ok;
   const std::string name = StringOrSymbolText(interp, args[0], &ok);
@@ -907,7 +892,6 @@ Result<Value> PrimAddInstVarName(Interpreter& interp, const Value& receiver,
 
 Result<Value> PrimCompileMethod(Interpreter& interp, const Value& receiver,
                                 std::vector<Value>& args) {
-  GS_RETURN_IF_ERROR(RequireSchemaWritable(interp, "method compilation"));
   GS_ASSIGN_OR_RETURN(GsClass * cls, ReceiverClass(interp, receiver));
   if (!args[0].IsString()) {
     return Status::TypeMismatch("compileMethod: needs source text");
@@ -993,7 +977,6 @@ Result<Value> PrimSysStatsJson(Interpreter&, const Value&,
 Result<Value> PrimSysCreateDirectoryOn(Interpreter& interp, const Value&,
                                        std::vector<Value>& args) {
   // System createDirectoryOn: aCollection path: #(step1 step2)
-  GS_RETURN_IF_ERROR(RequireSchemaWritable(interp, "directory creation"));
   if (interp.directories() == nullptr) {
     return Status::Unavailable("no directory manager in this session");
   }
@@ -1536,7 +1519,6 @@ void InstallKernelPrimitives(ObjectMemory* memory) {
   const KernelClasses& kernel = memory->kernel();
 
   auto install = [&](Oid class_oid, const char* selector, PrimitiveFn fn) {
-    // gs_lint: allow(read-path-retry): boot-time install, no session yet
     Status s = classes.InstallMethod(class_oid, symbols.Intern(selector),
                                      std::make_shared<PrimitiveMethod>(fn));
     (void)s;  // kernel classes always exist at boot

@@ -24,8 +24,9 @@ using TrackId = std::uint32_t;
 /// Historical means a time-dial read (the session's dial, an explicit
 /// `@T`, a History walk): device I/O under one is classified by
 /// telemetry::ThreadAccessIsHistorical, and the transaction manager also
-/// deposits once per extent track of the object read. A snapshot-pinned
-/// read stands in for a current read and deposits nothing here.
+/// deposits once per extent track of the object read. A read by a
+/// transaction pinned to a snapshot is its own current read (at kTimeNow,
+/// resolved at the pin) and deposits nothing here.
 ///
 /// Decay is applied lazily per track at record/query time (no background
 /// work): heat' = heat * 2^(-dt / half_life) before each deposit.

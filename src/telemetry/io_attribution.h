@@ -25,8 +25,9 @@ IoTally& ThreadIoTally();
 /// classify each track access into the heatmap's current/historical
 /// split, which is what lets compaction (DESIGN.md §15) distinguish
 /// "hot because the workload lives here" from "hot because someone is
-/// auditing last week". A snapshot-pinned read resolves at a past time
-/// but stands in for a current read, so it does not set the flag.
+/// auditing last week". A pinned transaction's own reads resolve at its
+/// pin, a committed time, but they are current reads, so they do not set
+/// the flag.
 bool ThreadAccessIsHistorical();
 
 /// RAII: marks the calling thread's storage accesses historical for the

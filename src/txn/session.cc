@@ -113,10 +113,6 @@ Status Session::RequireWritable() const {
     return Status::TransactionState(
         "cannot write while the time dial is set to a past state");
   }
-  if (snapshot_.has_value()) {
-    return Status::ReadOnlyRetry(
-        "write attempted on the snapshot read path");
-  }
   return Status::OK();
 }
 
@@ -129,8 +125,7 @@ Result<Oid> Session::Create(Oid class_oid) {
 Result<Value> Session::ReadNamed(Oid oid, SymbolId name) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->ReadNamed(txn_.get(), oid, name, EffectiveTime(),
-                             EffectiveAccounting());
+  return manager_->ReadNamed(txn_.get(), oid, name, DialOrNow());
 }
 
 Result<Value> Session::ReadNamedAt(Oid oid, SymbolId name, TxnTime at) {
@@ -148,8 +143,7 @@ Status Session::WriteNamed(Oid oid, SymbolId name, Value value) {
 Result<Value> Session::ReadIndexed(Oid oid, std::size_t index) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->ReadIndexed(txn_.get(), oid, index, EffectiveTime(),
-                               EffectiveAccounting());
+  return manager_->ReadIndexed(txn_.get(), oid, index, DialOrNow());
 }
 
 Result<Value> Session::ReadIndexedAt(Oid oid, std::size_t index, TxnTime at) {
@@ -173,8 +167,7 @@ Result<std::size_t> Session::AppendIndexed(Oid oid, Value value) {
 Result<std::size_t> Session::IndexedSize(Oid oid) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->IndexedSize(txn_.get(), oid, EffectiveTime(),
-                               EffectiveAccounting());
+  return manager_->IndexedSize(txn_.get(), oid, DialOrNow());
 }
 
 Result<Oid> Session::ClassOfObject(Oid oid) {
@@ -187,8 +180,7 @@ Result<std::vector<std::pair<SymbolId, Value>>> Session::ListNamed(
     Oid oid, bool skip_unbound) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->ListNamed(txn_.get(), oid, EffectiveTime(), skip_unbound,
-                             EffectiveAccounting());
+  return manager_->ListNamed(txn_.get(), oid, DialOrNow(), skip_unbound);
 }
 
 Result<std::vector<Association>> Session::History(Oid oid, SymbolId name) {
@@ -200,8 +192,7 @@ Result<std::vector<Association>> Session::History(Oid oid, SymbolId name) {
 Result<bool> Session::DeepEquals(const Value& a, const Value& b) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->DeepEquals(txn_.get(), a, b, EffectiveTime(),
-                              EffectiveAccounting());
+  return manager_->DeepEquals(txn_.get(), a, b, DialOrNow());
 }
 
 }  // namespace gemstone::txn

@@ -53,43 +53,11 @@ class Session {
   void SetTimeDialToSafeTime() { dial_ = manager_->SafeTime(); }
   bool DialSet() const { return dial_.has_value(); }
 
-  /// The time every read resolves at: the dial if set, else the snapshot
-  /// pin if one is active, else now.
+  /// The time every read resolves at: the dial if set, else the
+  /// transaction's snapshot pin if it has one, else now.
   TxnTime EffectiveTime() const {
     if (dial_.has_value()) return *dial_;
-    return snapshot_.value_or(kTimeNow);
-  }
-
-  // --- Snapshot pin (the gateway's query path) ------------------------------
-  //
-  // Pinning behaves like a transient time dial at SafeTime: every read
-  // resolves against the pinned committed state (so it records nothing in
-  // the read set and never consults the workspace) yet is accounted as
-  // the current read it stands in for (no `txn.historical_reads`, no
-  // historical heat), and every side effect — object writes, creates,
-  // global assignment, schema or directory mutation — fails with
-  // kReadOnlyRetry instead of executing. The gateway pins a query
-  // optimistically; a retry status means "this block writes after all",
-  // and the gateway unpins and reruns the request in place.
-  //
-  // Only pin a session whose transaction is fresh (nothing read at now,
-  // nothing written or created): pinned reads escape commit-time
-  // validation, which is only serializable when the transaction has no
-  // writes that could depend on them.
-
-  void PinSnapshot(TxnTime t) { snapshot_ = t; }
-  void UnpinSnapshot() { snapshot_.reset(); }
-  bool SnapshotPinned() const { return snapshot_.has_value(); }
-
-  /// True when the session can serve a query on a snapshot: the dial
-  /// already fixes an immutable view, there is no active transaction
-  /// (reads fail identically pinned or not), or the transaction has
-  /// recorded no accesses yet.
-  bool SnapshotReadEligible() const {
-    if (dial_.has_value()) return true;
-    if (txn_ == nullptr || !txn_->active()) return true;
-    return txn_->read_set_size() == 0 && txn_->dirty_object_count() == 0 &&
-           txn_->created_count() == 0 && txn_->workspace_size() == 0;
+    return txn_ != nullptr ? txn_->read_time() : kTimeNow;
   }
 
   // --- Data access (forwarders applying the time dial) ------------------------
@@ -125,12 +93,9 @@ class Session {
   Status RequireActive() const;
   Status RequireWritable() const;
 
-  /// How reads at EffectiveTime() are accounted: a dial read is time-dial
-  /// traffic; a pinned read stands in for the current read it replaces.
-  ReadAccounting EffectiveAccounting() const {
-    return dial_.has_value() ? ReadAccounting::kHistorical
-                             : ReadAccounting::kCurrent;
-  }
+  /// The time data reads ask the manager for: the dial, else kTimeNow
+  /// (the transaction's own view, which a pin resolves at the pin time).
+  TxnTime DialOrNow() const { return dial_.value_or(kTimeNow); }
 
 #ifdef GS_THREAD_SAFETY
   /// RAII reentrancy detector entered by every fallible public method.
@@ -160,7 +125,6 @@ class Session {
   UserId user_;
   std::unique_ptr<Transaction> txn_;
   std::optional<TxnTime> dial_;
-  std::optional<TxnTime> snapshot_;
 
 #ifdef GS_THREAD_SAFETY
   mutable std::atomic<std::size_t> owner_{0};  // thread token; 0 = unowned
@@ -169,20 +133,33 @@ class Session {
 #endif
 };
 
-/// RAII snapshot pin: pins on entry, unpins on scope exit. The gateway
-/// wraps each optimistic read-path dispatch in one of these so a retry
-/// (or an early return) can never leave the session pinned.
+/// RAII snapshot pin (DESIGN.md §12): pins the session's transaction on
+/// entry if it is fresh (Transaction::Pin), and unpins it on scope exit
+/// unless the request already left the pin (Transaction::LeavePin).
+/// The gateway wraps each query dispatch in one of these so an early
+/// return can never leave a transaction pinned. Only this pins, and a
+/// transaction begun inside the scope (`System commitTransaction`) starts
+/// unpinned, so the exit acts only on the transaction pinned here; one
+/// that has since committed or aborted is already gone.
 class SnapshotPin {
  public:
-  SnapshotPin(Session* session, TxnTime t) : session_(session) {
-    session_->PinSnapshot(t);
+  SnapshotPin(Session* session, TxnTime t)
+      : session_(session),
+        pinned_(session->transaction() != nullptr &&
+                session->transaction()->Pin(t)) {}
+  ~SnapshotPin() {
+    if (pinned_ && session_->transaction() != nullptr) {
+      session_->transaction()->Unpin();
+    }
   }
-  ~SnapshotPin() { session_->UnpinSnapshot(); }
   SnapshotPin(const SnapshotPin&) = delete;
   SnapshotPin& operator=(const SnapshotPin&) = delete;
 
+  bool pinned() const { return pinned_; }
+
  private:
   Session* session_;
+  bool pinned_;
 };
 
 }  // namespace gemstone::txn

@@ -22,6 +22,13 @@ enum class TxnState : std::uint8_t { kActive, kCommitted, kAborted };
 /// Linker re-stamps dirty elements with the real commit time when folding
 /// them into the permanent store, so each element gains at most one
 /// association per commit.
+///
+/// The gateway's snapshot pin (DESIGN.md §12) lives here: pinning a fresh
+/// transaction at committed time P moves its start up to P, and until it
+/// is unpinned its own reads (at kTimeNow) resolve at P, workspace first.
+/// They are recorded like any current read, and every side effect runs
+/// in place: commit-time validation against the start covers the whole
+/// request. Only the first pin moves the start.
 class Transaction {
  public:
   Transaction(SessionId session, TxnTime start_time,
@@ -41,9 +48,46 @@ class Transaction {
   std::size_t dirty_object_count() const {
     return dirty_.size() + created_.size();
   }
-  std::size_t created_count() const { return created_.size(); }
   /// Private copies still held; zero once the transaction finishes.
   std::size_t workspace_size() const { return working_.size(); }
+
+  /// Pins the transaction at committed time `t`: until Unpin its own
+  /// reads resolve at `t`. The first pin also moves its start up to `t`,
+  /// which is sound only because nothing has been read, written or
+  /// created yet; later pins leave the start where the first put it, so
+  /// validation still covers the commits that reads already dropped by
+  /// Unpin may predate. Returns false, changing nothing, unless it is
+  /// active and fresh in that sense.
+  bool Pin(TxnTime t) {
+    if (!active() || !read_set_.empty() || !dirty_.empty() ||
+        !created_.empty() || !working_.empty()) {
+      return false;
+    }
+    if (!start_fixed_) start_time_ = t;
+    start_fixed_ = true;
+    pin_ = t;
+    return true;
+  }
+
+  /// Ends the pin. A transaction that wrote and created nothing read one
+  /// committed snapshot, which stays consistent whatever commits later:
+  /// it drops its read set and is fresh again. One that wrote keeps its
+  /// reads for validation against its start.
+  void Unpin() {
+    if (!pinned()) return;
+    pin_ = kTimeNow;
+    if (dirty_.empty() && created_.empty()) read_set_.clear();
+  }
+
+  /// Ends the pin but keeps every read: from here on reads are current
+  /// reads, validated at commit with those made at the pin.
+  void LeavePin() { pin_ = kTimeNow; }
+
+  bool pinned() const { return pin_ != kTimeNow; }
+
+  /// The committed time the transaction's own reads resolve at: its pin,
+  /// else the latest state (kTimeNow).
+  TxnTime read_time() const { return pin_; }
 
  private:
   friend class TransactionManager;
@@ -59,6 +103,8 @@ class Transaction {
   TxnTime start_time_;
   UserId user_;
   TxnState state_ = TxnState::kActive;
+  TxnTime pin_ = kTimeNow;     // kTimeNow: not pinned
+  bool start_fixed_ = false;  // a pin has set start_time_
 
   std::unordered_map<std::uint64_t, GsObject> working_;  // private copies
   std::unordered_set<std::uint64_t> read_set_;

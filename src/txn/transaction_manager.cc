@@ -35,8 +35,7 @@ TransactionManager::TransactionManager(ObjectMemory* memory,
                             std::memory_order_relaxed)));
           })) {}
 
-bool TransactionManager::NoteRead(Transaction* txn, Oid oid, TxnTime at,
-                                  ReadAccounting accounting) {
+bool TransactionManager::NoteRead(Transaction* txn, Oid oid, TxnTime at) {
   if (at == kTimeNow) {
     txn->read_set_.insert(oid.raw);
     const std::uint64_t n = txn->read_set_.size();
@@ -47,7 +46,6 @@ bool TransactionManager::NoteRead(Transaction* txn, Oid oid, TxnTime at,
     }
     return false;
   }
-  if (accounting == ReadAccounting::kCurrent) return false;
   NoteHistoricalRead(oid);
   return true;
 }
@@ -172,11 +170,13 @@ Status TransactionManager::Commit(Transaction* txn) {
     return Status::OK();
   };
 
-  // A transaction that recorded nothing (the gateway's snapshot read path
-  // resolves every read at a pinned past time) releases without touching
-  // the store lock at all — there is nothing to validate or publish.
-  if (txn->read_set_.empty() && txn->dirty_.empty() &&
-      txn->created_.empty()) {
+  // A transaction that recorded nothing (a query the gateway ran pinned
+  // drops its reads when the request ends) releases without touching the
+  // store lock at all — there is nothing to validate or publish. Nor does
+  // a pinned one that wrote nothing: it read one committed snapshot,
+  // which later commits cannot make inconsistent.
+  if (txn->dirty_.empty() && txn->created_.empty() &&
+      (txn->read_set_.empty() || txn->pinned())) {
     return release_read_only();
   }
 
@@ -408,12 +408,12 @@ Result<Oid> TransactionManager::CreateObject(Transaction* txn, Oid class_oid) {
   return oid;
 }
 
-Result<const GsObject*> TransactionManager::ViewLocked(Transaction* txn,
-                                                       Oid oid,
-                                                       TxnTime at) const {
+Result<TransactionManager::View> TransactionManager::ViewLocked(
+    Transaction* txn, Oid oid, TxnTime at) const {
   if (at == kTimeNow) {
     auto it = txn->working_.find(oid.raw);
-    if (it != txn->working_.end()) return &it->second;
+    if (it != txn->working_.end()) return View{&it->second, kTimeNow};
+    at = txn->read_time();
   }
   const GsObject* object = memory_->Find(oid);
   if (object == nullptr) {
@@ -423,7 +423,7 @@ Result<const GsObject*> TransactionManager::ViewLocked(Transaction* txn,
     }
     return Status::NotFound("no such object: " + oid.ToString());
   }
-  return object;
+  return View{object, at};
 }
 
 Result<GsObject*> TransactionManager::WorkingCopyLocked(Transaction* txn,
@@ -449,27 +449,25 @@ Transaction::DirtyMarks* TransactionManager::MarksFor(Transaction* txn,
 }
 
 Result<Value> TransactionManager::ReadNamed(Transaction* txn, Oid oid,
-                                            SymbolId name, TxnTime at,
-                                            ReadAccounting accounting) {
+                                            SymbolId name, TxnTime at) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
   GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  telemetry::HistoricalAccessScope io_class(
-      NoteRead(txn, oid, at, accounting));
-  if (RoutesToTierLocked(*object, at)) {
+  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, at));
+  telemetry::HistoricalAccessScope io_class(NoteRead(txn, oid, at));
+  if (RoutesToTierLocked(*view.object, view.at)) {
     // Below the floor the resident table holds only the creation marker
     // and carry-forward; the cold runs hold every binding <= the floor,
     // so the level resolver's answer is authoritative here.
     tier_routed_reads_.Increment();
     GS_ASSIGN_OR_RETURN(
         std::optional<Association> binding,
-        tiers_->ResolveNamed(oid, memory_->symbols().Name(name), at));
+        tiers_->ResolveNamed(oid, memory_->symbols().Name(name), view.at));
     return binding.has_value() ? std::move(binding->value) : Value::Nil();
   }
-  const Value* value = object->ReadNamed(name, at);
+  const Value* value = view.object->ReadNamed(name, view.at);
   return value ? *value : Value::Nil();
 }
 
@@ -487,30 +485,28 @@ Status TransactionManager::WriteNamed(Transaction* txn, Oid oid, SymbolId name,
 }
 
 Result<Value> TransactionManager::ReadIndexed(Transaction* txn, Oid oid,
-                                              std::size_t index, TxnTime at,
-                                              ReadAccounting accounting) {
+                                              std::size_t index, TxnTime at) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
   GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  telemetry::HistoricalAccessScope io_class(
-      NoteRead(txn, oid, at, accounting));
+  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, at));
+  telemetry::HistoricalAccessScope io_class(NoteRead(txn, oid, at));
   // The bounds check needs no tier trip: slot creation markers survive
   // truncation, so IndexedSizeAt stays exact at every time.
-  if (index >= object->IndexedSizeAt(at)) {
+  const std::size_t size = view.object->IndexedSizeAt(view.at);
+  if (index >= size) {
     return Status::OutOfRange("index " + std::to_string(index) +
-                              " beyond size " +
-                              std::to_string(object->IndexedSizeAt(at)));
+                              " beyond size " + std::to_string(size));
   }
-  if (RoutesToTierLocked(*object, at)) {
+  if (RoutesToTierLocked(*view.object, view.at)) {
     tier_routed_reads_.Increment();
     GS_ASSIGN_OR_RETURN(std::optional<Association> binding,
-                        tiers_->ResolveIndexed(oid, index, at));
+                        tiers_->ResolveIndexed(oid, index, view.at));
     return binding.has_value() ? std::move(binding->value) : Value::Nil();
   }
-  const Value* value = object->ReadIndexed(index, at);
+  const Value* value = view.object->ReadIndexed(index, view.at);
   return value ? *value : Value::Nil();
 }
 
@@ -543,16 +539,16 @@ Result<std::size_t> TransactionManager::AppendIndexed(Transaction* txn,
   return index;
 }
 
-Result<std::size_t> TransactionManager::IndexedSize(
-    Transaction* txn, Oid oid, TxnTime at, ReadAccounting accounting) {
+Result<std::size_t> TransactionManager::IndexedSize(Transaction* txn, Oid oid,
+                                                    TxnTime at) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
   GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  NoteRead(txn, oid, at, accounting);  // no tier trip to classify
-  return object->IndexedSizeAt(at);
+  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, at));
+  NoteRead(txn, oid, at);  // no tier trip to classify
+  return view.object->IndexedSizeAt(view.at);
 }
 
 Result<Oid> TransactionManager::ClassOfObject(Transaction* txn, Oid oid) {
@@ -560,23 +556,22 @@ Result<Oid> TransactionManager::ClassOfObject(Transaction* txn, Oid oid) {
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, kTimeNow));
-  return object->class_oid();
+  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, kTimeNow));
+  return view.object->class_oid();
 }
 
 Result<std::vector<std::pair<SymbolId, Value>>> TransactionManager::ListNamed(
-    Transaction* txn, Oid oid, TxnTime at, bool skip_unbound,
-    ReadAccounting accounting) {
+    Transaction* txn, Oid oid, TxnTime at, bool skip_unbound) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
   GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, at));
-  telemetry::HistoricalAccessScope io_class(
-      NoteRead(txn, oid, at, accounting));
+  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, at));
+  const GsObject* object = view.object;
+  telemetry::HistoricalAccessScope io_class(NoteRead(txn, oid, at));
   std::vector<std::pair<SymbolId, Value>> out;
-  if (RoutesToTierLocked(*object, at)) {
+  if (RoutesToTierLocked(*object, view.at)) {
     // Element existence is resident (names are never truncated); each
     // element's sub-floor value comes from the level resolver.
     tier_routed_reads_.Increment();
@@ -584,7 +579,7 @@ Result<std::vector<std::pair<SymbolId, Value>>> TransactionManager::ListNamed(
       GS_ASSIGN_OR_RETURN(
           std::optional<Association> binding,
           tiers_->ResolveNamed(oid, memory_->symbols().Name(element.name),
-                               at));
+                               view.at));
       if (!binding.has_value()) continue;
       if (skip_unbound && binding->value.IsNil()) continue;
       out.emplace_back(element.name, std::move(binding->value));
@@ -592,7 +587,7 @@ Result<std::vector<std::pair<SymbolId, Value>>> TransactionManager::ListNamed(
     return out;
   }
   for (const NamedElement& element : object->named_elements()) {
-    const Value* value = element.table.ValueAt(at);
+    const Value* value = element.table.ValueAt(view.at);
     if (value == nullptr) continue;
     if (skip_unbound && value->IsNil()) continue;
     out.emplace_back(element.name, *value);
@@ -639,14 +634,12 @@ Result<std::vector<Association>> TransactionManager::History(Transaction* txn,
 }
 
 Result<bool> TransactionManager::DeepEquals(Transaction* txn, const Value& a,
-                                            const Value& b, TxnTime at,
-                                            ReadAccounting accounting) {
+                                            const Value& b, TxnTime at) {
   ReaderMutexLock lock(store_mu_);
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
-  telemetry::HistoricalAccessScope io_class(
-      at != kTimeNow && accounting == ReadAccounting::kHistorical);
+  telemetry::HistoricalAccessScope io_class(at != kTimeNow);
   std::unordered_map<std::uint64_t, std::uint64_t> assumed;
   return DeepEqualsLocked(txn, a, b, at, &assumed);
 }
@@ -659,17 +652,15 @@ bool TransactionManager::DeepEqualsLocked(
   auto it = assumed->find(a.ref().raw);
   if (it != assumed->end() && it->second == b.ref().raw) return true;
 
-  // The transaction's own view: workspace copies shadow permanent state.
-  auto view = [&](Oid oid) -> const GsObject* {
-    if (at == kTimeNow) {
-      auto w = txn->working_.find(oid.raw);
-      if (w != txn->working_.end()) return &w->second;
-    }
-    return memory_->Find(oid);
-  };
-  const GsObject* oa = view(a.ref());
-  const GsObject* ob = view(b.ref());
-  if (oa == nullptr || ob == nullptr) return false;
+  // The transaction's own view (ViewLocked): workspace copies shadow
+  // committed state, each read at its own time.
+  Result<View> view_a = ViewLocked(txn, a.ref(), at);
+  Result<View> view_b = ViewLocked(txn, b.ref(), at);
+  if (!view_a.ok() || !view_b.ok()) return false;
+  const View va = view_a.value();
+  const View vb = view_b.value();
+  const GsObject* oa = va.object;
+  const GsObject* ob = vb.object;
   if (oa->class_oid() != ob->class_oid()) return false;
 
   (*assumed)[a.ref().raw] = b.ref().raw;
@@ -681,19 +672,19 @@ bool TransactionManager::DeepEqualsLocked(
   const GsClass* cls = memory_->classes().Get(oa->class_oid());
   const bool is_set = cls != nullptr && cls->format() == ObjectFormat::kSet;
   if (is_set) {
-    if (CountBoundNamedResolvedLocked(*oa, at) !=
-        CountBoundNamedResolvedLocked(*ob, at)) {
+    if (CountBoundNamedResolvedLocked(*oa, va.at) !=
+        CountBoundNamedResolvedLocked(*ob, vb.at)) {
       equal = false;
     } else {
       for (const NamedElement& ea : oa->named_elements()) {
-        const std::optional<Value> va = ResolvedNamedLocked(*oa, ea.name, at);
-        if (!va.has_value() || va->IsNil()) continue;
+        const std::optional<Value> x = ResolvedNamedLocked(*oa, ea.name, va.at);
+        if (!x.has_value() || x->IsNil()) continue;
         bool found = false;
         for (const NamedElement& eb : ob->named_elements()) {
-          const std::optional<Value> vb =
-              ResolvedNamedLocked(*ob, eb.name, at);
-          if (!vb.has_value() || vb->IsNil()) continue;
-          if (DeepEqualsLocked(txn, *va, *vb, at, assumed)) {
+          const std::optional<Value> y =
+              ResolvedNamedLocked(*ob, eb.name, vb.at);
+          if (!y.has_value() || y->IsNil()) continue;
+          if (DeepEqualsLocked(txn, *x, *y, at, assumed)) {
             found = true;
             break;
           }
@@ -705,31 +696,32 @@ bool TransactionManager::DeepEqualsLocked(
       }
     }
   } else {
-    auto bound_matches = [&](const GsObject& x, const GsObject& y) {
-      for (const NamedElement& ex : x.named_elements()) {
-        const std::optional<Value> vx = ResolvedNamedLocked(x, ex.name, at);
+    auto bound_matches = [&](const View& x, const View& y) {
+      for (const NamedElement& ex : x.object->named_elements()) {
+        const std::optional<Value> vx =
+            ResolvedNamedLocked(*x.object, ex.name, x.at);
         if (!vx.has_value() || vx->IsNil()) continue;
-        std::optional<Value> vy = ResolvedNamedLocked(y, ex.name, at);
+        std::optional<Value> vy = ResolvedNamedLocked(*y.object, ex.name, y.at);
         if (!vy.has_value()) vy = Value::Nil();
         if (!DeepEqualsLocked(txn, *vx, *vy, at, assumed)) return false;
       }
       return true;
     };
-    equal = bound_matches(*oa, *ob) && bound_matches(*ob, *oa);
+    equal = bound_matches(va, vb) && bound_matches(vb, va);
   }
 
   if (equal) {
-    const std::size_t na = oa->IndexedSizeAt(at);
-    const std::size_t nb = ob->IndexedSizeAt(at);
+    const std::size_t na = oa->IndexedSizeAt(va.at);
+    const std::size_t nb = ob->IndexedSizeAt(vb.at);
     if (na != nb) {
       equal = false;
     } else {
       for (std::size_t i = 0; i < na && equal; ++i) {
-        std::optional<Value> va = ResolvedIndexedLocked(*oa, i, at);
-        std::optional<Value> vb = ResolvedIndexedLocked(*ob, i, at);
-        if (!va.has_value()) va = Value::Nil();
-        if (!vb.has_value()) vb = Value::Nil();
-        equal = DeepEqualsLocked(txn, *va, *vb, at, assumed);
+        std::optional<Value> x = ResolvedIndexedLocked(*oa, i, va.at);
+        std::optional<Value> y = ResolvedIndexedLocked(*ob, i, vb.at);
+        if (!x.has_value()) x = Value::Nil();
+        if (!y.has_value()) y = Value::Nil();
+        equal = DeepEqualsLocked(txn, *x, *y, at, assumed);
       }
     }
   }

@@ -51,15 +51,6 @@ struct TxnStats {
   std::uint64_t commit_storage_failures = 0;  // aborts from the safe write
 };
 
-/// How a read of committed state at a past time is accounted (DESIGN.md
-/// §12, §14). A time-dial read (the session's dial, an explicit `@T`) is
-/// historical traffic: it counts in `txn.historical_reads`, heats the
-/// object's extent on the heatmap's historical channel, and classifies
-/// the tier reads it makes as historical. A snapshot-pinned read resolves
-/// at its pinned time too, but stands in for a current read and records
-/// none of that. Reads at kTimeNow are current whatever the tag.
-enum class ReadAccounting : std::uint8_t { kHistorical, kCurrent };
-
 /// The shared Transaction Manager (§6): "handles concurrent use of the
 /// permanent database in an optimistic manner", plus the per-session data
 /// access interface of the Object Manager.
@@ -150,8 +141,8 @@ class TransactionManager : public storage::tier::HistorySource {
   /// §5.4: "the most recent state for which no currently running
   /// transaction can make changes." Commits publish atomically under the
   /// exclusive store lock and always stamp a time greater than the
-  /// current clock, so the clock itself is safe: a read-only transaction
-  /// pinned at SafeTime can never be invalidated.
+  /// current clock, so the clock itself is safe: a transaction pinned at
+  /// SafeTime that writes nothing can never be invalidated.
   TxnTime SafeTime() const { return clock_.load(); }
 
   TxnStats stats() const;
@@ -175,25 +166,24 @@ class TransactionManager : public storage::tier::HistorySource {
   /// only at commit. The identity is permanent from this moment (§5.4).
   Result<Oid> CreateObject(Transaction* txn, Oid class_oid);
 
-  /// Reads `oid`'s element `name` at `at` (kTimeNow = the transaction's
-  /// own view: workspace first, then the committed current state). Reads
-  /// of past states are not recorded in the read set — history is
-  /// immutable and cannot conflict — and are accounted per `accounting`.
-  Result<Value> ReadNamed(
-      Transaction* txn, Oid oid, SymbolId name, TxnTime at = kTimeNow,
-      ReadAccounting accounting = ReadAccounting::kHistorical);
+  /// Reads `oid`'s element `name` at `at`. kTimeNow is the transaction's
+  /// own view: workspace first, then the committed state at its read_time
+  /// (its pin, else the latest); such a read joins the read set. A read
+  /// at an explicit time is time-dial traffic: history is immutable and
+  /// cannot conflict, so it is not recorded, but it is accounted as
+  /// historical (see NoteRead).
+  Result<Value> ReadNamed(Transaction* txn, Oid oid, SymbolId name,
+                          TxnTime at = kTimeNow);
 
   Status WriteNamed(Transaction* txn, Oid oid, SymbolId name, Value value);
 
-  Result<Value> ReadIndexed(
-      Transaction* txn, Oid oid, std::size_t index, TxnTime at = kTimeNow,
-      ReadAccounting accounting = ReadAccounting::kHistorical);
+  Result<Value> ReadIndexed(Transaction* txn, Oid oid, std::size_t index,
+                            TxnTime at = kTimeNow);
   Status WriteIndexed(Transaction* txn, Oid oid, std::size_t index,
                       Value value);
   Result<std::size_t> AppendIndexed(Transaction* txn, Oid oid, Value value);
-  Result<std::size_t> IndexedSize(
-      Transaction* txn, Oid oid, TxnTime at = kTimeNow,
-      ReadAccounting accounting = ReadAccounting::kHistorical);
+  Result<std::size_t> IndexedSize(Transaction* txn, Oid oid,
+                                  TxnTime at = kTimeNow);
 
   /// The object's class (identity-stable over time).
   Result<Oid> ClassOfObject(Transaction* txn, Oid oid);
@@ -202,26 +192,33 @@ class TransactionManager : public storage::tier::HistorySource {
   /// is true, elements whose value is nil are omitted (set iteration).
   Result<std::vector<std::pair<SymbolId, Value>>> ListNamed(
       Transaction* txn, Oid oid, TxnTime at = kTimeNow,
-      bool skip_unbound = true,
-      ReadAccounting accounting = ReadAccounting::kHistorical);
+      bool skip_unbound = true);
 
   /// Full history of one element (committed state only). Always
   /// historical traffic.
   Result<std::vector<Association>> History(Transaction* txn, Oid oid,
                                            SymbolId name);
 
-  /// Structural equivalence of two values at `at` (committed state). The
-  /// tier reads it makes below a history floor are classified per
-  /// `accounting`.
-  Result<bool> DeepEquals(
-      Transaction* txn, const Value& a, const Value& b, TxnTime at = kTimeNow,
-      ReadAccounting accounting = ReadAccounting::kHistorical);
+  /// Structural equivalence of two values at `at` (kTimeNow = the
+  /// transaction's own view). The tier reads it makes below a history
+  /// floor at an explicit time are classified as historical.
+  Result<bool> DeepEquals(Transaction* txn, const Value& a, const Value& b,
+                          TxnTime at = kTimeNow);
 
  private:
-  /// The transaction's readable view of `oid` (workspace copy if present,
-  /// else permanent). Caller must hold store_mu_ (at least shared).
-  Result<const GsObject*> ViewLocked(Transaction* txn, Oid oid, TxnTime at)
-      const GS_REQUIRES_SHARED(store_mu_);
+  /// What a read of one object at `at` consults, and at which time.
+  struct View {
+    const GsObject* object;
+    TxnTime at;
+  };
+
+  /// The transaction's readable view of `oid` at `at`: at kTimeNow its
+  /// workspace copy (read at kTimeNow) if present, else the permanent
+  /// object read at the transaction's read_time; at an explicit time the
+  /// permanent object at that time. Caller must hold store_mu_ (at least
+  /// shared).
+  Result<View> ViewLocked(Transaction* txn, Oid oid, TxnTime at) const
+      GS_REQUIRES_SHARED(store_mu_);
 
   /// Copy-on-first-write into the workspace. Caller holds store_mu_.
   Result<GsObject*> WorkingCopyLocked(Transaction* txn, Oid oid)
@@ -314,19 +311,19 @@ class TransactionManager : public storage::tier::HistorySource {
   /// never be read.
   static Transaction::DirtyMarks* MarksFor(Transaction* txn, Oid oid);
 
-  /// Accounts one read of `oid` at `at`. A read at kTimeNow joins the
-  /// read set and moves its high-water mark (`txn.read_set_peak`:
-  /// evidence for how much validation state long-lived mutating sessions
-  /// accumulate). A historical one (a past `at` under kHistorical) bumps
-  /// `txn.historical_reads` and, when an engine is attached, deposits
-  /// historical heat on `oid`'s extent tracks (see
+  /// Accounts one read of `oid` at `at`. A read at kTimeNow, pinned or
+  /// not, joins the read set and moves its high-water mark
+  /// (`txn.read_set_peak`: evidence for how much validation state
+  /// long-lived mutating sessions accumulate). One at an explicit time is
+  /// historical: it bumps `txn.historical_reads` and, when an engine is
+  /// attached, deposits historical heat on `oid`'s extent tracks (see
   /// StorageEngine::NoteHistoricalObjectAccess), so history served from
-  /// memory still shows up on the heatmap's time-dial side. A pinned read
-  /// (a past `at` under kCurrent) records nothing. Returns whether the
-  /// read is historical: the caller holds a HistoricalAccessScope of that
-  /// value over the rest of the read, tier resolves included.
-  bool NoteRead(Transaction* txn, Oid oid, TxnTime at,
-                ReadAccounting accounting) GS_REQUIRES_SHARED(store_mu_);
+  /// memory still shows up on the heatmap's time-dial side. Returns
+  /// whether the read is historical: the caller holds a
+  /// HistoricalAccessScope of that value over the rest of the read, tier
+  /// resolves included.
+  bool NoteRead(Transaction* txn, Oid oid, TxnTime at)
+      GS_REQUIRES_SHARED(store_mu_);
 
   /// The historical half of NoteRead; History walks call it directly.
   void NoteHistoricalRead(Oid oid) GS_REQUIRES_SHARED(store_mu_);

@@ -139,6 +139,39 @@ TEST_F(DirectoryTest, ManagerMaintainsOnAddRemove) {
   EXPECT_EQ(dir->Lookup(Value::String("Sales"), txns_.Now()).size(), 0u);
 }
 
+TEST_F(DirectoryTest, CreateUnderAPinFillsFromTheLatestState) {
+  Oid set = session_.Create(memory_.kernel().set).ValueOrDie();
+  Oid e = MakeEmployee("Sales", 1000);
+  ASSERT_TRUE(session_
+                  .WriteNamed(set, memory_.symbols().GenerateAlias(),
+                              Value::Ref(e))
+                  .ok());
+  Commit();
+
+  // The session is pinned, and then another session commits a new member.
+  txn::SnapshotPin pin(&session_, txns_.SafeTime());
+  ASSERT_TRUE(pin.pinned());
+  txn::Session other(&txns_, 2);
+  ASSERT_TRUE(other.Begin().ok());
+  Oid late = other.Create(memory_.kernel().object).ValueOrDie();
+  ASSERT_TRUE(other.WriteNamed(late, dept_sym_, Value::String("Sales")).ok());
+  ASSERT_TRUE(other
+                  .WriteNamed(set, memory_.symbols().GenerateAlias(),
+                              Value::Ref(late))
+                  .ok());
+  ASSERT_TRUE(other.Commit().ok());
+
+  // Only a registered directory is maintained, so creation fills it from
+  // the latest committed state, not the pin: the late member is in it,
+  // and the request reads at now from here on.
+  ASSERT_TRUE(dir_manager_.CreateDirectory(&session_, set, {dept_sym_}).ok());
+  EXPECT_FALSE(session_.transaction()->pinned());
+  EXPECT_EQ(session_.EffectiveTime(), kTimeNow);
+  Directory* dir = dir_manager_.Find(set, {dept_sym_});
+  ASSERT_NE(dir, nullptr);
+  EXPECT_EQ(dir->Lookup(Value::String("Sales"), txns_.Now()).size(), 2u);
+}
+
 TEST_F(DirectoryTest, NestedDiscriminatorPath) {
   // Index on employee!address!city — a nested element (§6's headache).
   SymbolId address = memory_.symbols().Intern("address");

@@ -1,9 +1,9 @@
 // Gateway dispatch tests (DESIGN.md §12): requests of different
 // connections run side by side under no gateway lock. Queries complete
 // while a writer is busy executing; two writers execute at once and meet
-// only at commit validation; a query that turns out to write bounces off
-// its snapshot pin and reruns unpinned, invisibly to the client; and a
-// connection that dies mid-request still gets its session (and
+// only at commit validation; a query on a fresh transaction is pinned and
+// runs once even when it writes, its reads still validated at commit; and
+// a connection that dies mid-request still gets its session (and
 // uncommitted transaction) torn down.
 //
 // Runs in the `tsan` tree: the whole point is concurrent execution of
@@ -25,6 +25,8 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "stdm/gsdm_bridge.h"
+#include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace gemstone::net {
 namespace {
@@ -139,27 +141,145 @@ TEST_F(ReadPathTest, ReadsDoNotBlockBehindAStalledWriter) {
   EXPECT_EQ(reader.Execute("W instVarNamed: 'v'").ValueOrDie(), "500000");
 }
 
-TEST_F(ReadPathTest, WritingRequestRetriesOnTheExclusivePath) {
+/// The process-wide count of interpreted bytecodes.
+std::uint64_t Bytecodes() {
+  return telemetry::MetricsRegistry::Global()
+      .Snapshot()
+      .counters["opal.bytecodes"];
+}
+
+TEST_F(ReadPathTest, WritingRequestExecutesOnce) {
   StartServer();
   Client client = Connected();
   ASSERT_TRUE(client.Login().ok());
-
-  // A fresh session's query runs pinned, so this write-shaped block
-  // bounces with kReadOnlyRetry and reruns unpinned on the same worker —
-  // invisibly to the client.
-  ASSERT_TRUE(
-      client.Execute("Obj := Object new. Obj instVarNamed: 'n' put: 5")
-          .ok());
-  EXPECT_EQ(client.Execute("Obj instVarNamed: 'n'").ValueOrDie(), "5");
+  ASSERT_TRUE(client.Execute("Obj := Object new").ok());
   ASSERT_TRUE(client.Commit().ok());
+  ASSERT_TRUE(client.Begin().ok());
 
-  Client monitor = Connected();
-  const std::string page = monitor.Statusz().ValueOrDie();
-  EXPECT_GE(JsonCounter(page, "read_path_retries"), 1u) << page;
-  // The bounced attempt also counts as a snapshot query.
-  EXPECT_GE(JsonCounter(page, "read_path_requests"),
-            JsonCounter(page, "read_path_retries"))
-      << page;
+  // The same loop on a fresh transaction, first read-only, then ending in
+  // a write: the write runs in place under the pin, so the request is
+  // interpreted once, not once pinned and again unpinned.
+  const std::string loop = "| s | s := 0. 1 to: 5000 do: [:i | s := s + i]. ";
+  std::uint64_t before = Bytecodes();
+  ASSERT_EQ(client.Execute(loop + "s").ValueOrDie(), "12502500");
+  const std::uint64_t reading = Bytecodes() - before;
+  before = Bytecodes();
+  ASSERT_TRUE(client.Execute(loop + "Obj instVarNamed: 'n' put: s").ok());
+  const std::uint64_t writing = Bytecodes() - before;
+  EXPECT_LT(writing * 2, reading * 3) << writing << " vs " << reading;
+
+  ASSERT_TRUE(client.Commit().ok());
+  ASSERT_TRUE(client.Begin().ok());
+  EXPECT_EQ(client.Execute("Obj instVarNamed: 'n'").ValueOrDie(),
+            "12502500");
+}
+
+TEST_F(ReadPathTest, CommitInsidePinnedRequestRunsOnce) {
+  StartServer();
+  Client client = Connected();
+  ASSERT_TRUE(client.Login().ok());
+  ASSERT_TRUE(client.Execute("Obj := Object new").ok());
+  ASSERT_TRUE(client.Commit().ok());
+  ASSERT_TRUE(client.Begin().ok());
+
+  const auto begin_events = [] {
+    std::uint64_t n = 0;
+    for (const auto& event : telemetry::TraceRing::Events().Snapshot()) {
+      if (event.kind == telemetry::TraceKind::kTxnBegin) ++n;
+    }
+    return n;
+  };
+  const txn::TxnStats before = executor_.transactions().stats();
+  const std::uint64_t begins_before = begin_events();
+  ASSERT_TRUE(client
+                  .Execute("System commitTransaction. "
+                           "Obj instVarNamed: 'n' put: 8")
+                  .ok());
+  const txn::TxnStats after = executor_.transactions().stats();
+  EXPECT_EQ(after.committed, before.committed + 1);
+  EXPECT_EQ(after.begun, before.begun + 1);
+  EXPECT_EQ(begin_events(), begins_before + 1);
+
+  // The transaction the commit begins is unpinned: the request's later
+  // reads see its own commit.
+  EXPECT_EQ(client
+                .Execute("Obj instVarNamed: 'n' put: 7. "
+                         "System commitTransaction. Obj instVarNamed: 'n'")
+                .ValueOrDie(),
+            "7");
+}
+
+TEST_F(ReadPathTest, PinnedRequestReadsStillValidate) {
+  StartServer();
+  Client setup = Connected();
+  ASSERT_TRUE(setup.Login().ok());
+  ASSERT_TRUE(setup
+                  .Execute("X := Object new. X instVarNamed: 'v' put: 1. "
+                           "Y := Object new. Y instVarNamed: 'v' put: 1")
+                  .ok());
+  ASSERT_TRUE(setup.Commit().ok());
+  ASSERT_TRUE(setup.Begin().ok());
+
+  // A pinned request reads X and writes Y...
+  Client client = Connected();
+  ASSERT_TRUE(client.Login().ok());
+  ASSERT_TRUE(
+      client.Execute("Y instVarNamed: 'v' put: (X instVarNamed: 'v') + 1")
+          .ok());
+  // ...then another session commits X: the read is stale.
+  ASSERT_TRUE(setup.Execute("X instVarNamed: 'v' put: 5").ok());
+  ASSERT_TRUE(setup.Commit().ok());
+
+  const Result<std::uint64_t> commit = client.Commit();
+  ASSERT_FALSE(commit.ok());
+  EXPECT_TRUE(commit.status().IsTransactionConflict())
+      << commit.status().ToString();
+}
+
+TEST_F(ReadPathTest, FreshTransactionStartsAtItsFirstRequest) {
+  StartServer();
+  Client setup = Connected();
+  ASSERT_TRUE(setup.Login().ok());
+  ASSERT_TRUE(setup.Execute("X := Object new. X instVarNamed: 'v' put: 1")
+                  .ok());
+  ASSERT_TRUE(setup.Commit().ok());
+  ASSERT_TRUE(setup.Begin().ok());
+
+  // The client's transaction begins, and only then does another session
+  // commit X. The client saw nothing before that commit: its pinned
+  // request starts it after the commit, so its write does not conflict.
+  Client client = Connected();
+  ASSERT_TRUE(client.Login().ok());
+  ASSERT_TRUE(setup.Execute("X instVarNamed: 'v' put: 2").ok());
+  ASSERT_TRUE(setup.Commit().ok());
+  ASSERT_TRUE(client.Execute("X instVarNamed: 'v' put: 3").ok());
+  const Result<std::uint64_t> commit = client.Commit();
+  EXPECT_TRUE(commit.ok()) << commit.status().ToString();
+}
+
+TEST_F(ReadPathTest, LaterRequestsKeepTheFirstRequestsStart) {
+  StartServer();
+  Client setup = Connected();
+  ASSERT_TRUE(setup.Login().ok());
+  ASSERT_TRUE(setup.Execute("X := Object new. X instVarNamed: 'v' put: 1")
+                  .ok());
+  ASSERT_TRUE(setup.Commit().ok());
+  ASSERT_TRUE(setup.Begin().ok());
+
+  // A read-only request reads X; its read set is dropped when it ends.
+  Client client = Connected();
+  ASSERT_TRUE(client.Login().ok());
+  ASSERT_EQ(client.Execute("X instVarNamed: 'v'").ValueOrDie(), "1");
+  // Another session commits X, and then the client writes X from what it
+  // read: the later pin leaves the transaction's start at the first, so
+  // the update the client never saw is not silently overwritten.
+  ASSERT_TRUE(setup.Execute("X instVarNamed: 'v' put: 2").ok());
+  ASSERT_TRUE(setup.Commit().ok());
+  ASSERT_TRUE(client.Execute("X instVarNamed: 'v' put: 11").ok());
+  const Result<std::uint64_t> commit = client.Commit();
+  ASSERT_FALSE(commit.ok());
+  EXPECT_TRUE(commit.status().IsTransactionConflict())
+      << commit.status().ToString();
 }
 
 TEST_F(ReadPathTest, TwoWritersExecuteAtOnce) {

@@ -1,9 +1,10 @@
-// Snapshot-pin semantics (the gateway's lock-free read path, DESIGN.md
-// §12): pinned reads resolve at the pinned commit time and record
-// nothing, not even historical heat, every side effect bounces with
-// kReadOnlyRetry before mutating anything, the time dial takes precedence
-// over a pin, and the tiered commit releases access-free transactions
-// without store-lock work.
+// Snapshot-pin semantics (the gateway's query path, DESIGN.md §12): the
+// pin is a fresh transaction's start. Pinned reads resolve at the pin
+// time and are recorded as current reads (never historical heat), side
+// effects land in place, a pinned transaction that wrote nothing is fresh
+// again once unpinned, the time dial takes precedence over a pin, and the
+// tiered commit releases access-free transactions without store-lock
+// work.
 
 #include <gtest/gtest.h>
 
@@ -60,12 +61,16 @@ TEST_F(SnapshotReadTest, PinnedReadsRecordNothing) {
 
   {
     SnapshotPin pin(&session_, manager_.SafeTime());
-    EXPECT_TRUE(session_.SnapshotPinned());
+    EXPECT_TRUE(session_.transaction()->pinned());
     EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
               Value::Integer(7));
-    EXPECT_EQ(session_.transaction()->read_set_size(), 0u);
+    // Recorded while pinned, like any current read...
+    EXPECT_EQ(session_.transaction()->read_set_size(), 1u);
   }
-  EXPECT_FALSE(session_.SnapshotPinned());
+  // ...and dropped at the unpin: the transaction wrote nothing, so it is
+  // fresh again.
+  EXPECT_FALSE(session_.transaction()->pinned());
+  EXPECT_EQ(session_.transaction()->read_set_size(), 0u);
 
   // The same read unpinned is recorded for commit-time validation.
   EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
@@ -125,21 +130,115 @@ TEST_F(SnapshotReadTest, PinnedReadsSeeTheSnapshotNotLaterCommits) {
             Value::Integer(1));
 }
 
-TEST_F(SnapshotReadTest, PinnedSideEffectsReturnReadOnlyRetry) {
+TEST_F(SnapshotReadTest, PinnedSideEffectsLand) {
   const Oid oid = CommittedObject(3);
   ASSERT_TRUE(session_.Begin().ok());
   {
     SnapshotPin pin(&session_, manager_.SafeTime());
-    EXPECT_EQ(session_.WriteNamed(oid, Sym("x"), Value::Integer(4)).code(),
-              StatusCode::kReadOnlyRetry);
-    EXPECT_EQ(session_.Create(memory_.kernel().object).status().code(),
-              StatusCode::kReadOnlyRetry);
-    // Nothing was recorded or mutated: the retry reruns from scratch.
-    EXPECT_EQ(session_.transaction()->dirty_object_count(), 0u);
-    EXPECT_EQ(session_.transaction()->created_count(), 0u);
+    EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
+              Value::Integer(3));
+    EXPECT_TRUE(session_.WriteNamed(oid, Sym("x"), Value::Integer(4)).ok());
+    EXPECT_TRUE(session_.Create(memory_.kernel().object).ok());
+    // The workspace shadows the pinned snapshot.
+    EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
+              Value::Integer(4));
   }
-  // After the pin the same write succeeds.
-  EXPECT_TRUE(session_.WriteNamed(oid, Sym("x"), Value::Integer(4)).ok());
+  // A transaction that wrote keeps its reads for validation.
+  EXPECT_EQ(session_.transaction()->read_set_size(), 1u);
+  EXPECT_EQ(session_.transaction()->dirty_object_count(), 2u);
+  ASSERT_TRUE(session_.Commit().ok());
+  ASSERT_TRUE(session_.Begin().ok());
+  EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
+            Value::Integer(4));
+}
+
+TEST_F(SnapshotReadTest, PinnedReadThenWriteStillValidates) {
+  const Oid read = CommittedObject(1);
+  const Oid written = CommittedObject(2);
+  ASSERT_TRUE(session_.Begin().ok());
+  {
+    SnapshotPin pin(&session_, manager_.SafeTime());
+    ASSERT_TRUE(session_.ReadNamed(read, Sym("x")).ok());
+    ASSERT_TRUE(
+        session_.WriteNamed(written, Sym("x"), Value::Integer(3)).ok());
+  }
+  // Another transaction commits the object the pinned request read.
+  auto writer = manager_.Begin(2);
+  ASSERT_TRUE(manager_
+                  .WriteNamed(writer.get(), read, Sym("x"),
+                              Value::Integer(9))
+                  .ok());
+  ASSERT_TRUE(manager_.Commit(writer.get()).ok());
+
+  EXPECT_EQ(session_.Commit().code(), StatusCode::kTransactionConflict);
+}
+
+TEST_F(SnapshotReadTest, PinnedReadOnlyCommitIgnoresLaterCommits) {
+  const Oid oid = CommittedObject(1);
+  ASSERT_TRUE(session_.Begin().ok());
+  SnapshotPin pin(&session_, manager_.SafeTime());
+  ASSERT_TRUE(session_.ReadNamed(oid, Sym("x")).ok());
+  auto writer = manager_.Begin(2);
+  ASSERT_TRUE(manager_
+                  .WriteNamed(writer.get(), oid, Sym("x"),
+                              Value::Integer(2))
+                  .ok());
+  ASSERT_TRUE(manager_.Commit(writer.get()).ok());
+
+  // Every read was of the one pinned snapshot: nothing to invalidate.
+  EXPECT_TRUE(session_.Commit().ok());
+}
+
+TEST_F(SnapshotReadTest, UnpinLeavesAReplacedTransactionAlone) {
+  const Oid oid = CommittedObject(1);
+  ASSERT_TRUE(session_.Begin().ok());
+  {
+    SnapshotPin pin(&session_, manager_.SafeTime());
+    ASSERT_TRUE(session_.WriteNamed(oid, Sym("x"), Value::Integer(5)).ok());
+    // What `System commitTransaction` does inside a pinned request.
+    ASSERT_TRUE(session_.Commit().ok());
+    ASSERT_TRUE(session_.Begin().ok());
+    // The new transaction is unpinned: it sees its predecessor's commit,
+    // and its read is recorded.
+    EXPECT_FALSE(session_.transaction()->pinned());
+    EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
+              Value::Integer(5));
+  }
+  // Ending the pin did not touch the new transaction's read set.
+  EXPECT_EQ(session_.transaction()->read_set_size(), 1u);
+}
+
+TEST_F(SnapshotReadTest, OnlyTheFirstPinMovesTheStart) {
+  const Oid oid = CommittedObject(1);
+  const auto commit_elsewhere = [&](std::int64_t v) {
+    auto writer = manager_.Begin(2);
+    ASSERT_TRUE(manager_
+                    .WriteNamed(writer.get(), oid, Sym("x"),
+                                Value::Integer(v))
+                    .ok());
+    ASSERT_TRUE(manager_.Commit(writer.get()).ok());
+  };
+  ASSERT_TRUE(session_.Begin().ok());
+  commit_elsewhere(2);
+  const TxnTime first = manager_.SafeTime();
+  {
+    SnapshotPin pin(&session_, first);
+    EXPECT_EQ(session_.transaction()->start_time(), first);
+    EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
+              Value::Integer(2));
+  }
+  commit_elsewhere(3);
+  {
+    // The next request reads the latest snapshot, but validates against
+    // the first pin: the read dropped above may predate that commit.
+    SnapshotPin pin(&session_, manager_.SafeTime());
+    EXPECT_GT(session_.EffectiveTime(), first);
+    EXPECT_EQ(session_.transaction()->start_time(), first);
+    EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
+              Value::Integer(3));
+    ASSERT_TRUE(session_.WriteNamed(oid, Sym("x"), Value::Integer(4)).ok());
+  }
+  EXPECT_EQ(session_.Commit().code(), StatusCode::kTransactionConflict);
 }
 
 TEST_F(SnapshotReadTest, DialTakesPrecedenceOverPin) {
@@ -156,6 +255,7 @@ TEST_F(SnapshotReadTest, DialTakesPrecedenceOverPin) {
   ASSERT_TRUE(session_.Begin().ok());
   session_.SetTimeDial(before);
   SnapshotPin pin(&session_, manager_.SafeTime());
+  EXPECT_TRUE(pin.pinned());
   EXPECT_EQ(session_.EffectiveTime(), before);
   EXPECT_EQ(session_.ReadNamed(oid, Sym("x")).ValueOrDie(),
             Value::Integer(5));
@@ -163,25 +263,33 @@ TEST_F(SnapshotReadTest, DialTakesPrecedenceOverPin) {
 
 TEST_F(SnapshotReadTest, EligibilityTracksRecordedAccesses) {
   const Oid oid = CommittedObject(8);
+  const auto pins = [&] {
+    return SnapshotPin(&session_, manager_.SafeTime()).pinned();
+  };
 
-  // No transaction: eligible (reads fail identically on either path).
-  EXPECT_TRUE(session_.SnapshotReadEligible());
+  // No transaction: nothing to pin.
+  EXPECT_FALSE(pins());
   ASSERT_TRUE(session_.Begin().ok());
-  // Fresh transaction: eligible.
-  EXPECT_TRUE(session_.SnapshotReadEligible());
+  // Fresh transaction: pinned, and fresh again after a read-only pin.
+  EXPECT_TRUE(pins());
+  {
+    SnapshotPin pin(&session_, manager_.SafeTime());
+    ASSERT_TRUE(session_.ReadNamed(oid, Sym("x")).ok());
+  }
+  EXPECT_TRUE(pins());
 
-  // A recorded read makes it ineligible...
+  // A recorded read outside a pin makes it ineligible: moving the start
+  // would hide commits the read may predate.
   ASSERT_TRUE(session_.ReadNamed(oid, Sym("x")).ok());
-  EXPECT_FALSE(session_.SnapshotReadEligible());
-  // ...but a time dial always fixes an immutable view.
-  session_.SetTimeDial(manager_.SafeTime());
-  EXPECT_TRUE(session_.SnapshotReadEligible());
-  session_.ClearTimeDial();
-  EXPECT_FALSE(session_.SnapshotReadEligible());
+  EXPECT_FALSE(pins());
 
-  // Committing ends the transaction and restores eligibility.
+  // Committing ends the transaction; the next one is fresh.
   ASSERT_TRUE(session_.Commit().ok());
-  EXPECT_TRUE(session_.SnapshotReadEligible());
+  ASSERT_TRUE(session_.Begin().ok());
+  EXPECT_TRUE(pins());
+  // So does a write.
+  ASSERT_TRUE(session_.WriteNamed(oid, Sym("x"), Value::Integer(9)).ok());
+  EXPECT_FALSE(pins());
 }
 
 TEST_F(SnapshotReadTest, ReadOnlyCommitStillValidates) {

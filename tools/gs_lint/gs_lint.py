@@ -14,10 +14,6 @@ that generic tools cannot know about (DESIGN.md §12–§13):
                        writes, entering the executor) while holding
                        conn_table_mu_ — the gateway's outermost lock must
                        only ever bracket table bookkeeping.
-  read-path-retry      Every mutation channel reachable from the snapshot
-                       read path must bounce kReadOnlyRetry (call a
-                       RequireWritable / RequireSchemaWritable /
-                       SnapshotPinned guard) before mutating.
   tier-isolation       Compaction-thread code (src/storage/tier/) lives
                        strictly below the executor lattice: it may not
                        acquire a gateway/executor/opal LockRank, nor
@@ -78,25 +74,6 @@ METRIC_LITERAL_RE = re.compile(
     r"(?:std::string\s*\([\s\\]*)?\"((?:[^\"\\]|\\.)*)\""
 )
 METRIC_NAME_OK_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
-
-# -- read-path-retry ---------------------------------------------------------
-# Mutation channels: calls that change schema, globals, directories, or
-# object state. Confined to the layers the snapshot read path can reach
-# (src/opal and txn/session.cc); the TransactionManager below them is the
-# mechanism these guards protect, not a channel of its own.
-READ_PATH_FILES_RE = re.compile(r"src/opal/[^/]+\.cc$|src/txn/session\.cc$")
-# Calls routed through txn::Session (session.WriteNamed etc.) are guarded
-# inside Session itself; the channels this check polices are the ones that
-# bypass it: direct TransactionManager mutations, schema changes on the
-# ClassRegistry, directory creation, and global-environment stores.
-MUTATOR_RE = re.compile(
-    r"\bmanager_->(?:CreateObject|WriteNamed|WriteIndexed|AppendIndexed)\s*\("
-    r"|\b(?:DefineClass|AddInstVar|InstallMethod|CreateDirectory)\s*\("
-    r"|\bglobals_(?:->|\.)Set\s*\("
-)
-GUARD_RE = re.compile(
-    r"\bRequire(?:Schema)?Writable\s*\(|\bSnapshotPinned\s*\(|ReadOnlyRetry"
-)
 
 # -- tier-isolation ----------------------------------------------------------
 # The online compactor runs concurrently with every gateway request; the
@@ -280,40 +257,6 @@ def check_conn_table_blocking(path, raw_lines, code_lines, findings):
         i += 1
 
 
-def check_read_path_retry(path, raw_lines, code_lines, findings):
-    if not READ_PATH_FILES_RE.search(path.replace(os.sep, "/")):
-        return
-    # Segment into function-sized chunks: Google style closes every
-    # namespace-scope body with '}' at column zero.
-    chunk_start = 0
-    i = 0
-    n = len(code_lines)
-    while i <= n:
-        at_end = i == n
-        if at_end or code_lines[i].startswith("}"):
-            chunk = code_lines[chunk_start : i + 1]
-            has_guard = any(GUARD_RE.search(l) for l in chunk)
-            if not has_guard:
-                for k, line in enumerate(chunk):
-                    m = MUTATOR_RE.search(line)
-                    lineno = chunk_start + k + 1
-                    if m and not allowed("read-path-retry", raw_lines, lineno):
-                        findings.append(
-                            Finding(
-                                path,
-                                lineno,
-                                "read-path-retry",
-                                f"mutation '{m.group(0).strip()}' with no "
-                                "kReadOnlyRetry guard in the enclosing "
-                                "function; call RequireWritable / "
-                                "RequireSchemaWritable (or check "
-                                "SnapshotPinned) first",
-                            )
-                        )
-            chunk_start = i + 1
-        i += 1
-
-
 def check_metric_name(path, raw_lines, code_lines, findings):
     # The registry's own declarations/forwarders take `name` parameters.
     if path.endswith("telemetry/metrics.h") or path.endswith(
@@ -398,7 +341,6 @@ CHECKS = (
     check_ranked_mutex_decl,
     check_raw_mutex,
     check_conn_table_blocking,
-    check_read_path_retry,
     check_metric_name,
     check_tier_isolation,
 )
