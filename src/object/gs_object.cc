@@ -20,9 +20,9 @@ const Value* GsObject::ReadNamed(SymbolId name, TxnTime time) const {
   return table ? table->ValueAt(time) : nullptr;
 }
 
-const AssociationTable* GsObject::NamedHistory(SymbolId name) const {
+const NamedElement* GsObject::FindNamed(SymbolId name) const {
   for (const NamedElement& element : named_) {
-    if (element.name == name) return &element.table;
+    if (element.name == name) return &element;
   }
   return nullptr;
 }

@@ -51,8 +51,14 @@ class GsObject {
   /// never bound at or before `time`. A deleted element yields nil.
   const Value* ReadNamed(SymbolId name, TxnTime time) const;
 
+  /// The element `name`, or nullptr if it does not exist.
+  const NamedElement* FindNamed(SymbolId name) const;
+
   /// Full history of `name`, or nullptr if the element does not exist.
-  const AssociationTable* NamedHistory(SymbolId name) const;
+  const AssociationTable* NamedHistory(SymbolId name) const {
+    const NamedElement* element = FindNamed(name);
+    return element != nullptr ? &element->table : nullptr;
+  }
 
   bool HasNamed(SymbolId name) const { return NamedHistory(name) != nullptr; }
 

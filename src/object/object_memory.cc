@@ -150,94 +150,4 @@ Oid ObjectMemory::ClassOf(const Value& value) const {
   return kNilOid;
 }
 
-bool ObjectMemory::DeepEquals(const Value& a, const Value& b,
-                              TxnTime time) const {
-  std::unordered_map<std::uint64_t, std::uint64_t> assumed;
-  return DeepEqualsRec(a, b, time, &assumed);
-}
-
-bool ObjectMemory::DeepEqualsRec(
-    const Value& a, const Value& b, TxnTime time,
-    std::unordered_map<std::uint64_t, std::uint64_t>* assumed) const {
-  if (!a.IsRef() || !b.IsRef()) return a == b;
-  if (a.ref() == b.ref()) return true;
-  // Cycle handling: if we are already comparing this pair higher in the
-  // recursion, assume equality (coinductive structural equivalence).
-  auto it = assumed->find(a.ref().raw);
-  if (it != assumed->end() && it->second == b.ref().raw) return true;
-
-  const GsObject* oa = Find(a.ref());
-  const GsObject* ob = Find(b.ref());
-  if (oa == nullptr || ob == nullptr) return false;
-  if (oa->class_oid() != ob->class_oid()) return false;
-
-  (*assumed)[a.ref().raw] = b.ref().raw;
-
-  // Named elements: each bound (non-nil) element in one must match the
-  // other. Alias-named elements (set members) compare as unordered sets.
-  const bool is_set =
-      classes_.Get(oa->class_oid()) != nullptr &&
-      classes_.Get(oa->class_oid())->format() == ObjectFormat::kSet;
-  if (is_set) {
-    if (oa->CountBoundNamedAt(time) != ob->CountBoundNamedAt(time)) {
-      assumed->erase(a.ref().raw);
-      return false;
-    }
-    for (const NamedElement& ea : oa->named_elements()) {
-      const Value* va = ea.table.ValueAt(time);
-      if (va == nullptr || va->IsNil()) continue;
-      bool found = false;
-      for (const NamedElement& eb : ob->named_elements()) {
-        const Value* vb = eb.table.ValueAt(time);
-        if (vb == nullptr || vb->IsNil()) continue;
-        if (DeepEqualsRec(*va, *vb, time, assumed)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        assumed->erase(a.ref().raw);
-        return false;
-      }
-    }
-  } else {
-    auto bound_matches = [&](const GsObject& x, const GsObject& y) {
-      for (const NamedElement& ex : x.named_elements()) {
-        const Value* vx = ex.table.ValueAt(time);
-        if (vx == nullptr || vx->IsNil()) continue;
-        const Value* vy = y.ReadNamed(ex.name, time);
-        Value nil;
-        if (vy == nullptr) vy = &nil;
-        if (!DeepEqualsRec(*vx, *vy, time, assumed)) return false;
-      }
-      return true;
-    };
-    if (!bound_matches(*oa, *ob) || !bound_matches(*ob, *oa)) {
-      assumed->erase(a.ref().raw);
-      return false;
-    }
-  }
-
-  // Indexed elements compare positionally over the slots alive at `time`.
-  const std::size_t na = oa->IndexedSizeAt(time);
-  const std::size_t nb = ob->IndexedSizeAt(time);
-  if (na != nb) {
-    assumed->erase(a.ref().raw);
-    return false;
-  }
-  for (std::size_t i = 0; i < na; ++i) {
-    const Value* va = oa->ReadIndexed(i, time);
-    const Value* vb = ob->ReadIndexed(i, time);
-    Value nil;
-    if (va == nullptr) va = &nil;
-    if (vb == nullptr) vb = &nil;
-    if (!DeepEqualsRec(*va, *vb, time, assumed)) {
-      assumed->erase(a.ref().raw);
-      return false;
-    }
-  }
-  assumed->erase(a.ref().raw);
-  return true;
-}
-
 }  // namespace gemstone

@@ -124,16 +124,7 @@ class ObjectMemory {
   /// referenced object's class (nil Oid if the object is unknown).
   Oid ClassOf(const Value& value) const;
 
-  /// Structural equivalence at `time` (§4.2 distinguishes this from
-  /// identity): simple values by value; references recursively by element
-  /// structure. Handles cycles.
-  bool DeepEquals(const Value& a, const Value& b, TxnTime time) const;
-
  private:
-  bool DeepEqualsRec(
-      const Value& a, const Value& b, TxnTime time,
-      std::unordered_map<std::uint64_t, std::uint64_t>* assumed) const;
-
   SymbolTable symbols_;
   ClassRegistry classes_;
   KernelClasses kernel_;

@@ -177,10 +177,10 @@ Result<Oid> Session::ClassOfObject(Oid oid) {
 }
 
 Result<std::vector<std::pair<SymbolId, Value>>> Session::ListNamed(
-    Oid oid, bool skip_unbound) {
+    Oid oid) {
   OwnerGuard guard(this);
   GS_RETURN_IF_ERROR(RequireActive());
-  return manager_->ListNamed(txn_.get(), oid, DialOrNow(), skip_unbound);
+  return manager_->ListNamed(txn_.get(), oid, DialOrNow());
 }
 
 Result<std::vector<Association>> Session::History(Oid oid, SymbolId name) {

@@ -73,8 +73,7 @@ class Session {
   Result<std::size_t> AppendIndexed(Oid oid, Value value);
   Result<std::size_t> IndexedSize(Oid oid);
   Result<Oid> ClassOfObject(Oid oid);
-  Result<std::vector<std::pair<SymbolId, Value>>> ListNamed(
-      Oid oid, bool skip_unbound = true);
+  Result<std::vector<std::pair<SymbolId, Value>>> ListNamed(Oid oid);
   Result<std::vector<Association>> History(Oid oid, SymbolId name);
   /// Structural equivalence at the session's effective time (§4.2).
   Result<bool> DeepEquals(const Value& a, const Value& b);

@@ -46,13 +46,9 @@ bool TransactionManager::NoteRead(Transaction* txn, Oid oid, TxnTime at) {
     }
     return false;
   }
-  NoteHistoricalRead(oid);
-  return true;
-}
-
-void TransactionManager::NoteHistoricalRead(Oid oid) {
   historical_reads_.Increment();
   if (engine_ != nullptr) engine_->NoteHistoricalObjectAccess(oid);
+  return true;
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin(SessionId session,
@@ -151,22 +147,24 @@ Status TransactionManager::AbortConflicted(Transaction* txn,
 Status TransactionManager::Commit(Transaction* txn) {
   TELEM_SPAN("txn.commit");
   const auto commit_start = std::chrono::steady_clock::now();
-  auto observe_latency = [&] {
-    commit_latency_us_->Observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - commit_start)
-            .count()));
-  };
   // Transaction state is session-confined; no lock needed to inspect it.
   if (!txn->active()) {
     return Status::TransactionState("commit of a finished transaction");
   }
 
-  auto release_read_only = [&] {
+  // Every commit path ends here: the outcome, its event (stamped with the
+  // time the transaction serializes at) and its latency.
+  auto committed = [&](TxnTime time) {
     txn->state_ = TxnState::kCommitted;
     txn->working_.clear();
     committed_.Increment(1, std::memory_order_release);
-    observe_latency();
+    const std::uint64_t latency_us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - commit_start)
+            .count());
+    telemetry::RecordEvent(telemetry::TraceKind::kTxnCommit, txn->session(),
+                           time, latency_us, "");
+    commit_latency_us_->Observe(latency_us);
     return Status::OK();
   };
 
@@ -177,7 +175,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   // which later commits cannot make inconsistent.
   if (txn->dirty_.empty() && txn->created_.empty() &&
       (txn->read_set_.empty() || txn->pinned())) {
-    return release_read_only();
+    return committed(clock_.load());
   }
 
   // Read-only with a recorded read set: validation only compares
@@ -190,7 +188,7 @@ Status TransactionManager::Commit(Transaction* txn) {
       ReaderMutexLock lock(store_mu_);
       conflict = FindConflictLocked(*txn);
     }
-    if (!conflict.has_value()) return release_read_only();
+    if (!conflict.has_value()) return committed(clock_.load());
     return AbortConflicted(txn, *conflict);
   }
 
@@ -236,17 +234,7 @@ Status TransactionManager::Commit(Transaction* txn) {
     commit_storage_failures_.Increment(1, std::memory_order_release);
     return status;
   }
-  txn->state_ = TxnState::kCommitted;
-  txn->working_.clear();
-  committed_.Increment(1, std::memory_order_release);
-  const std::uint64_t latency_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - commit_start)
-          .count());
-  telemetry::RecordEvent(telemetry::TraceKind::kTxnCommit, txn->session(),
-                         commit_time, latency_us, "");
-  observe_latency();
-  return Status::OK();
+  return committed(commit_time);
 }
 
 Status TransactionManager::StageLocked(Transaction* txn, TxnTime commit_time,
@@ -408,36 +396,44 @@ Result<Oid> TransactionManager::CreateObject(Transaction* txn, Oid class_oid) {
   return oid;
 }
 
-Result<TransactionManager::View> TransactionManager::ViewLocked(
-    Transaction* txn, Oid oid, TxnTime at) const {
-  if (at == kTimeNow) {
+Result<TransactionManager::View> TransactionManager::ReadLocked(
+    Transaction* txn, Oid oid, TxnTime at) {
+  if (!txn->active()) {
+    return Status::TransactionState("read outside an active transaction");
+  }
+  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
+  TxnTime read_at = at;
+  GS_ASSIGN_OR_RETURN(const GsObject* object, ViewLocked(txn, oid, &read_at));
+  const bool historical = NoteRead(txn, oid, at);
+  return View(object, read_at, historical);
+}
+
+Result<const GsObject*> TransactionManager::ViewLocked(Transaction* txn,
+                                                       Oid oid,
+                                                       TxnTime* at) const {
+  if (*at == kTimeNow) {
     auto it = txn->working_.find(oid.raw);
-    if (it != txn->working_.end()) return View{&it->second, kTimeNow};
-    at = txn->read_time();
+    if (it != txn->working_.end()) return &it->second;
+    *at = txn->read_time();
   }
+  return PermanentLocked(oid);
+}
+
+Result<const GsObject*> TransactionManager::PermanentLocked(Oid oid) const {
   const GsObject* object = memory_->Find(oid);
-  if (object == nullptr) {
-    if (memory_->IsArchived(oid)) {
-      return Status::Unavailable("object migrated to archival media: " +
-                                 oid.ToString());
-    }
-    return Status::NotFound("no such object: " + oid.ToString());
+  if (object != nullptr) return object;
+  if (memory_->IsArchived(oid)) {
+    return Status::Unavailable("object migrated to archival media: " +
+                               oid.ToString());
   }
-  return View{object, at};
+  return Status::NotFound("no such object: " + oid.ToString());
 }
 
 Result<GsObject*> TransactionManager::WorkingCopyLocked(Transaction* txn,
                                                         Oid oid) {
   auto it = txn->working_.find(oid.raw);
   if (it != txn->working_.end()) return &it->second;
-  const GsObject* permanent = memory_->Find(oid);
-  if (permanent == nullptr) {
-    if (memory_->IsArchived(oid)) {
-      return Status::Unavailable("object migrated to archival media: " +
-                                 oid.ToString());
-    }
-    return Status::NotFound("no such object: " + oid.ToString());
-  }
+  GS_ASSIGN_OR_RETURN(const GsObject* permanent, PermanentLocked(oid));
   auto [inserted, ok] = txn->working_.emplace(oid.raw, *permanent);
   return &inserted->second;
 }
@@ -448,27 +444,56 @@ Transaction::DirtyMarks* TransactionManager::MarksFor(Transaction* txn,
   return &txn->dirty_[oid.raw];
 }
 
-Result<Value> TransactionManager::ReadNamed(Transaction* txn, Oid oid,
-                                            SymbolId name, TxnTime at) {
-  ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, at));
-  telemetry::HistoricalAccessScope io_class(NoteRead(txn, oid, at));
-  if (RoutesToTierLocked(*view.object, view.at)) {
+Result<Value> TransactionManager::NamedValueLocked(
+    const View& view, const NamedElement* element) {
+  if (element == nullptr) return Value::Nil();
+  if (tiers_ != nullptr && view.at() < view.object().history_floor()) {
     // Below the floor the resident table holds only the creation marker
     // and carry-forward; the cold runs hold every binding <= the floor,
     // so the level resolver's answer is authoritative here.
     tier_routed_reads_.Increment();
     GS_ASSIGN_OR_RETURN(
         std::optional<Association> binding,
-        tiers_->ResolveNamed(oid, memory_->symbols().Name(name), view.at));
+        tiers_->ResolveNamed(view.object().oid(),
+                             memory_->symbols().Name(element->name),
+                             view.at()));
     return binding.has_value() ? std::move(binding->value) : Value::Nil();
   }
-  const Value* value = view.object->ReadNamed(name, view.at);
+  const Value* value = element->table.ValueAt(view.at());
   return value ? *value : Value::Nil();
+}
+
+Result<Value> TransactionManager::IndexedValueLocked(const View& view,
+                                                     std::size_t index) {
+  if (tiers_ != nullptr && view.at() < view.object().history_floor()) {
+    tier_routed_reads_.Increment();
+    GS_ASSIGN_OR_RETURN(
+        std::optional<Association> binding,
+        tiers_->ResolveIndexed(view.object().oid(), index, view.at()));
+    return binding.has_value() ? std::move(binding->value) : Value::Nil();
+  }
+  const Value* value = view.object().ReadIndexed(index, view.at());
+  return value ? *value : Value::Nil();
+}
+
+Result<std::vector<std::pair<SymbolId, Value>>>
+TransactionManager::NamedValuesLocked(const View& view) {
+  // Element existence is resident (names are never truncated), so the
+  // resident element list is complete at every time.
+  std::vector<std::pair<SymbolId, Value>> out;
+  for (const NamedElement& element : view.object().named_elements()) {
+    GS_ASSIGN_OR_RETURN(Value value, NamedValueLocked(view, &element));
+    if (!value.IsNil()) out.emplace_back(element.name, std::move(value));
+  }
+  return out;
+}
+
+Result<Value> TransactionManager::ReadNamed(Transaction* txn, Oid oid,
+                                            SymbolId name, TxnTime at) {
+  ReaderMutexLock lock(store_mu_);
+  GS_ASSIGN_OR_RETURN(const View view, ReadLocked(txn, oid, at));
+  telemetry::HistoricalAccessScope io_class(view.historical());
+  return NamedValueLocked(view, view.object().FindNamed(name));
 }
 
 Status TransactionManager::WriteNamed(Transaction* txn, Oid oid, SymbolId name,
@@ -487,27 +512,16 @@ Status TransactionManager::WriteNamed(Transaction* txn, Oid oid, SymbolId name,
 Result<Value> TransactionManager::ReadIndexed(Transaction* txn, Oid oid,
                                               std::size_t index, TxnTime at) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, at));
-  telemetry::HistoricalAccessScope io_class(NoteRead(txn, oid, at));
+  GS_ASSIGN_OR_RETURN(const View view, ReadLocked(txn, oid, at));
+  telemetry::HistoricalAccessScope io_class(view.historical());
   // The bounds check needs no tier trip: slot creation markers survive
   // truncation, so IndexedSizeAt stays exact at every time.
-  const std::size_t size = view.object->IndexedSizeAt(view.at);
+  const std::size_t size = view.object().IndexedSizeAt(view.at());
   if (index >= size) {
     return Status::OutOfRange("index " + std::to_string(index) +
                               " beyond size " + std::to_string(size));
   }
-  if (RoutesToTierLocked(*view.object, view.at)) {
-    tier_routed_reads_.Increment();
-    GS_ASSIGN_OR_RETURN(std::optional<Association> binding,
-                        tiers_->ResolveIndexed(oid, index, view.at));
-    return binding.has_value() ? std::move(binding->value) : Value::Nil();
-  }
-  const Value* value = view.object->ReadIndexed(index, view.at);
-  return value ? *value : Value::Nil();
+  return IndexedValueLocked(view, index);
 }
 
 Status TransactionManager::WriteIndexed(Transaction* txn, Oid oid,
@@ -542,13 +556,8 @@ Result<std::size_t> TransactionManager::AppendIndexed(Transaction* txn,
 Result<std::size_t> TransactionManager::IndexedSize(Transaction* txn, Oid oid,
                                                     TxnTime at) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, at));
-  NoteRead(txn, oid, at);  // no tier trip to classify
-  return view.object->IndexedSizeAt(view.at);
+  GS_ASSIGN_OR_RETURN(const View view, ReadLocked(txn, oid, at));
+  return view.object().IndexedSizeAt(view.at());  // no tier trip
 }
 
 Result<Oid> TransactionManager::ClassOfObject(Transaction* txn, Oid oid) {
@@ -556,63 +565,32 @@ Result<Oid> TransactionManager::ClassOfObject(Transaction* txn, Oid oid) {
   if (!txn->active()) {
     return Status::TransactionState("read outside an active transaction");
   }
-  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, kTimeNow));
-  return view.object->class_oid();
+  auto it = txn->working_.find(oid.raw);
+  if (it != txn->working_.end()) return it->second.class_oid();
+  GS_ASSIGN_OR_RETURN(const GsObject* object, PermanentLocked(oid));
+  return object->class_oid();
 }
 
 Result<std::vector<std::pair<SymbolId, Value>>> TransactionManager::ListNamed(
-    Transaction* txn, Oid oid, TxnTime at, bool skip_unbound) {
+    Transaction* txn, Oid oid, TxnTime at) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  GS_RETURN_IF_ERROR(CheckReadAccess(txn, oid));
-  GS_ASSIGN_OR_RETURN(const View view, ViewLocked(txn, oid, at));
-  const GsObject* object = view.object;
-  telemetry::HistoricalAccessScope io_class(NoteRead(txn, oid, at));
-  std::vector<std::pair<SymbolId, Value>> out;
-  if (RoutesToTierLocked(*object, view.at)) {
-    // Element existence is resident (names are never truncated); each
-    // element's sub-floor value comes from the level resolver.
-    tier_routed_reads_.Increment();
-    for (const NamedElement& element : object->named_elements()) {
-      GS_ASSIGN_OR_RETURN(
-          std::optional<Association> binding,
-          tiers_->ResolveNamed(oid, memory_->symbols().Name(element.name),
-                               view.at));
-      if (!binding.has_value()) continue;
-      if (skip_unbound && binding->value.IsNil()) continue;
-      out.emplace_back(element.name, std::move(binding->value));
-    }
-    return out;
-  }
-  for (const NamedElement& element : object->named_elements()) {
-    const Value* value = element.table.ValueAt(view.at);
-    if (value == nullptr) continue;
-    if (skip_unbound && value->IsNil()) continue;
-    out.emplace_back(element.name, *value);
-  }
-  return out;
+  GS_ASSIGN_OR_RETURN(const View view, ReadLocked(txn, oid, at));
+  telemetry::HistoricalAccessScope io_class(view.historical());
+  return NamedValuesLocked(view);
 }
 
 Result<std::vector<Association>> TransactionManager::History(Transaction* txn,
                                                              Oid oid,
                                                              SymbolId name) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  const GsObject* object = memory_->Find(oid);
-  if (object == nullptr) {
-    return Status::NotFound("no such object: " + oid.ToString());
-  }
-  const AssociationTable* table = object->NamedHistory(name);
+  // A history walk reads committed state only: time-dial traffic.
+  GS_ASSIGN_OR_RETURN(const View view, ReadLocked(txn, oid, clock_.load()));
+  const AssociationTable* table = view.object().NamedHistory(name);
   if (table == nullptr) {
     return Status::NotFound("element never bound");
   }
-  NoteHistoricalRead(oid);  // a history walk is time-dial traffic
-  telemetry::HistoricalAccessScope io_class;
-  if (tiers_ != nullptr && object->history_floor() > kTimeOrigin) {
+  telemetry::HistoricalAccessScope io_class(view.historical());
+  if (tiers_ != nullptr && view.object().history_floor() > kTimeOrigin) {
     // Merge the demoted prefix back in. Cold runs re-emit the creation
     // marker and carry-forward the resident table also keeps, so fold by
     // time — the duplicates are identical bindings by construction.
@@ -636,140 +614,69 @@ Result<std::vector<Association>> TransactionManager::History(Transaction* txn,
 Result<bool> TransactionManager::DeepEquals(Transaction* txn, const Value& a,
                                             const Value& b, TxnTime at) {
   ReaderMutexLock lock(store_mu_);
-  if (!txn->active()) {
-    return Status::TransactionState("read outside an active transaction");
-  }
-  telemetry::HistoricalAccessScope io_class(at != kTimeNow);
-  std::unordered_map<std::uint64_t, std::uint64_t> assumed;
+  Assumed assumed;
   return DeepEqualsLocked(txn, a, b, at, &assumed);
 }
 
-bool TransactionManager::DeepEqualsLocked(
-    Transaction* txn, const Value& a, const Value& b, TxnTime at,
-    std::unordered_map<std::uint64_t, std::uint64_t>* assumed) const {
+Result<bool> TransactionManager::DeepEqualsLocked(Transaction* txn,
+                                                  const Value& a,
+                                                  const Value& b, TxnTime at,
+                                                  Assumed* assumed) {
   if (!a.IsRef() || !b.IsRef()) return a == b;
   if (a.ref() == b.ref()) return true;
-  auto it = assumed->find(a.ref().raw);
-  if (it != assumed->end() && it->second == b.ref().raw) return true;
-
-  // The transaction's own view (ViewLocked): workspace copies shadow
-  // committed state, each read at its own time.
-  Result<View> view_a = ViewLocked(txn, a.ref(), at);
-  Result<View> view_b = ViewLocked(txn, b.ref(), at);
-  if (!view_a.ok() || !view_b.ok()) return false;
-  const View va = view_a.value();
-  const View vb = view_b.value();
-  const GsObject* oa = va.object;
-  const GsObject* ob = vb.object;
-  if (oa->class_oid() != ob->class_oid()) return false;
-
-  (*assumed)[a.ref().raw] = b.ref().raw;
-  bool equal = true;
-
-  // Element values resolve through the tier store below an object's
-  // history floor (Resolved*Locked); at other times they read the
-  // resident tables exactly as before.
-  const GsClass* cls = memory_->classes().Get(oa->class_oid());
-  const bool is_set = cls != nullptr && cls->format() == ObjectFormat::kSet;
-  if (is_set) {
-    if (CountBoundNamedResolvedLocked(*oa, va.at) !=
-        CountBoundNamedResolvedLocked(*ob, vb.at)) {
-      equal = false;
-    } else {
-      for (const NamedElement& ea : oa->named_elements()) {
-        const std::optional<Value> x = ResolvedNamedLocked(*oa, ea.name, va.at);
-        if (!x.has_value() || x->IsNil()) continue;
-        bool found = false;
-        for (const NamedElement& eb : ob->named_elements()) {
-          const std::optional<Value> y =
-              ResolvedNamedLocked(*ob, eb.name, vb.at);
-          if (!y.has_value() || y->IsNil()) continue;
-          if (DeepEqualsLocked(txn, *x, *y, at, assumed)) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          equal = false;
-          break;
-        }
-      }
-    }
-  } else {
-    auto bound_matches = [&](const View& x, const View& y) {
-      for (const NamedElement& ex : x.object->named_elements()) {
-        const std::optional<Value> vx =
-            ResolvedNamedLocked(*x.object, ex.name, x.at);
-        if (!vx.has_value() || vx->IsNil()) continue;
-        std::optional<Value> vy = ResolvedNamedLocked(*y.object, ex.name, y.at);
-        if (!vy.has_value()) vy = Value::Nil();
-        if (!DeepEqualsLocked(txn, *vx, *vy, at, assumed)) return false;
-      }
-      return true;
-    };
-    equal = bound_matches(va, vb) && bound_matches(vb, va);
-  }
-
-  if (equal) {
-    const std::size_t na = oa->IndexedSizeAt(va.at);
-    const std::size_t nb = ob->IndexedSizeAt(vb.at);
-    if (na != nb) {
-      equal = false;
-    } else {
-      for (std::size_t i = 0; i < na && equal; ++i) {
-        std::optional<Value> x = ResolvedIndexedLocked(*oa, i, va.at);
-        std::optional<Value> y = ResolvedIndexedLocked(*ob, i, vb.at);
-        if (!x.has_value()) x = Value::Nil();
-        if (!y.has_value()) y = Value::Nil();
-        equal = DeepEqualsLocked(txn, *x, *y, at, assumed);
-      }
-    }
-  }
-  assumed->erase(a.ref().raw);
+  // Cycle handling: a pair already under comparison higher up is assumed
+  // equal (coinductive structural equivalence), for this path only.
+  const std::pair<std::uint64_t, std::uint64_t> pair{a.ref().raw,
+                                                     b.ref().raw};
+  if (!assumed->insert(pair).second) return true;
+  Result<bool> equal = ObjectsEqualLocked(txn, a.ref(), b.ref(), at, assumed);
+  assumed->erase(pair);
   return equal;
 }
 
-std::optional<Value> TransactionManager::ResolvedNamedLocked(
-    const GsObject& object, SymbolId name, TxnTime at) const {
-  if (tiers_ != nullptr && at != kTimeNow && at < object.history_floor()) {
-    auto resolved =
-        tiers_->ResolveNamed(object.oid(), memory_->symbols().Name(name), at);
-    if (!resolved.ok()) return std::nullopt;  // degrade: treat as unbound
-    std::optional<Association> binding = std::move(resolved).value();
-    if (!binding.has_value()) return std::nullopt;
-    return std::move(binding->value);
+Result<bool> TransactionManager::ObjectsEqualLocked(Transaction* txn, Oid a,
+                                                    Oid b, TxnTime at,
+                                                    Assumed* assumed) {
+  // A ref to no stored object (a class, say) equals only itself.
+  Result<View> read_a = ReadLocked(txn, a, at);
+  if (read_a.status().code() == StatusCode::kNotFound) return false;
+  GS_ASSIGN_OR_RETURN(const View va, std::move(read_a));
+  Result<View> read_b = ReadLocked(txn, b, at);
+  if (read_b.status().code() == StatusCode::kNotFound) return false;
+  GS_ASSIGN_OR_RETURN(const View vb, std::move(read_b));
+  const GsObject& oa = va.object();
+  if (oa.class_oid() != vb.object().class_oid()) return false;
+  telemetry::HistoricalAccessScope io_class(va.historical());
+  // Named elements: each bound (non-nil) element of one must match the
+  // same-named element of the other; a set's members, which carry alias
+  // names, match any member of the other set instead. Equal counts make
+  // one direction enough, since nil never equals a bound value.
+  GS_ASSIGN_OR_RETURN(const auto xs, NamedValuesLocked(va));
+  GS_ASSIGN_OR_RETURN(const auto ys, NamedValuesLocked(vb));
+  if (xs.size() != ys.size()) return false;
+  const GsClass* cls = memory_->classes().Get(oa.class_oid());
+  const bool is_set = cls != nullptr && cls->format() == ObjectFormat::kSet;
+  for (const auto& [name, x] : xs) {
+    bool found = false;
+    for (const auto& [other, y] : ys) {
+      if (!is_set && other != name) continue;
+      GS_ASSIGN_OR_RETURN(found, DeepEqualsLocked(txn, x, y, at, assumed));
+      if (found || !is_set) break;
+    }
+    if (!found) return false;
   }
-  const Value* value = object.ReadNamed(name, at);
-  if (value == nullptr) return std::nullopt;
-  return *value;
-}
 
-std::optional<Value> TransactionManager::ResolvedIndexedLocked(
-    const GsObject& object, std::size_t index, TxnTime at) const {
-  if (tiers_ != nullptr && at != kTimeNow && at < object.history_floor()) {
-    auto resolved = tiers_->ResolveIndexed(object.oid(), index, at);
-    if (!resolved.ok()) return std::nullopt;
-    std::optional<Association> binding = std::move(resolved).value();
-    if (!binding.has_value()) return std::nullopt;
-    return std::move(binding->value);
+  // Indexed elements compare positionally over the slots alive at `at`.
+  const std::size_t n = oa.IndexedSizeAt(va.at());
+  if (n != vb.object().IndexedSizeAt(vb.at())) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    GS_ASSIGN_OR_RETURN(const Value x, IndexedValueLocked(va, i));
+    GS_ASSIGN_OR_RETURN(const Value y, IndexedValueLocked(vb, i));
+    GS_ASSIGN_OR_RETURN(const bool equal,
+                        DeepEqualsLocked(txn, x, y, at, assumed));
+    if (!equal) return false;
   }
-  const Value* value = object.ReadIndexed(index, at);
-  if (value == nullptr) return std::nullopt;
-  return *value;
-}
-
-std::size_t TransactionManager::CountBoundNamedResolvedLocked(
-    const GsObject& object, TxnTime at) const {
-  if (tiers_ == nullptr || at == kTimeNow || at >= object.history_floor()) {
-    return object.CountBoundNamedAt(at);
-  }
-  std::size_t count = 0;
-  for (const NamedElement& element : object.named_elements()) {
-    const std::optional<Value> value =
-        ResolvedNamedLocked(object, element.name, at);
-    if (value.has_value() && !value->IsNil()) ++count;
-  }
-  return count;
+  return true;
 }
 
 std::vector<storage::tier::HistorySource::Candidate>

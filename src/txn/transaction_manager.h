@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -78,7 +79,13 @@ struct TxnStats {
 /// each publish holds readers out.
 ///
 /// All element access from sessions goes through this class so that no
-/// raw object pointer outlives its lock scope.
+/// raw object pointer outlives its lock scope. Every object read goes
+/// through one private lookup, ReadLocked: it checks the transaction is
+/// active and may read the object, resolves the view, and records the
+/// read (the read set at kTimeNow, historical accounting at an explicit
+/// time). Element values come only from a View, and only ReadLocked makes
+/// one. The one exception is ClassOfObject: a class never changes, and
+/// recording it would put every message receiver in the read set.
 ///
 /// As the storage::tier::HistorySource it is also the compaction thread's
 /// window onto live history: candidates are ranked by the engine's
@@ -171,7 +178,7 @@ class TransactionManager : public storage::tier::HistorySource {
   /// (its pin, else the latest); such a read joins the read set. A read
   /// at an explicit time is time-dial traffic: history is immutable and
   /// cannot conflict, so it is not recorded, but it is accounted as
-  /// historical (see NoteRead).
+  /// historical (see NoteRead). The other reads below record the same way.
   Result<Value> ReadNamed(Transaction* txn, Oid oid, SymbolId name,
                           TxnTime at = kTimeNow);
 
@@ -185,14 +192,14 @@ class TransactionManager : public storage::tier::HistorySource {
   Result<std::size_t> IndexedSize(Transaction* txn, Oid oid,
                                   TxnTime at = kTimeNow);
 
-  /// The object's class (identity-stable over time).
+  /// The object's class (identity-stable over time). Neither
+  /// access-checked nor recorded: see the class comment.
   Result<Oid> ClassOfObject(Transaction* txn, Oid oid);
 
-  /// Snapshot of all named elements visible at `at`. When `skip_unbound`
-  /// is true, elements whose value is nil are omitted (set iteration).
+  /// Snapshot of the named elements bound to a non-nil value at `at` (set
+  /// iteration skips departed members).
   Result<std::vector<std::pair<SymbolId, Value>>> ListNamed(
-      Transaction* txn, Oid oid, TxnTime at = kTimeNow,
-      bool skip_unbound = true);
+      Transaction* txn, Oid oid, TxnTime at = kTimeNow);
 
   /// Full history of one element (committed state only). Always
   /// historical traffic.
@@ -200,59 +207,63 @@ class TransactionManager : public storage::tier::HistorySource {
                                            SymbolId name);
 
   /// Structural equivalence of two values at `at` (kTimeNow = the
-  /// transaction's own view). The tier reads it makes below a history
-  /// floor at an explicit time are classified as historical.
+  /// transaction's own view). Every object it visits is read through
+  /// ReadLocked, so it is access-checked and recorded like any read.
   Result<bool> DeepEquals(Transaction* txn, const Value& a, const Value& b,
                           TxnTime at = kTimeNow);
 
  private:
-  /// What a read of one object at `at` consults, and at which time.
-  struct View {
-    const GsObject* object;
-    TxnTime at;
-  };
+  class View;
 
-  /// The transaction's readable view of `oid` at `at`: at kTimeNow its
-  /// workspace copy (read at kTimeNow) if present, else the permanent
-  /// object read at the transaction's read_time; at an explicit time the
-  /// permanent object at that time. Caller must hold store_mu_ (at least
-  /// shared).
-  Result<View> ViewLocked(Transaction* txn, Oid oid, TxnTime at) const
+  /// The read choke point: checks `txn` is active and may read `oid`,
+  /// resolves the view (ViewLocked), records the read (NoteRead), and
+  /// hands back the View. Every object read but ClassOfObject starts
+  /// here.
+  Result<View> ReadLocked(Transaction* txn, Oid oid, TxnTime at)
+      GS_REQUIRES_SHARED(store_mu_);
+
+  /// The object a read of `oid` at `*at` consults: at kTimeNow the
+  /// transaction's workspace copy (read at kTimeNow) if present, else the
+  /// permanent object with `*at` set to the transaction's read_time; at
+  /// an explicit time the permanent object.
+  Result<const GsObject*> ViewLocked(Transaction* txn, Oid oid,
+                                     TxnTime* at) const
+      GS_REQUIRES_SHARED(store_mu_);
+
+  /// The permanent object `oid`; Unavailable once it migrated to
+  /// archival media.
+  Result<const GsObject*> PermanentLocked(Oid oid) const
       GS_REQUIRES_SHARED(store_mu_);
 
   /// Copy-on-first-write into the workspace. Caller holds store_mu_.
   Result<GsObject*> WorkingCopyLocked(Transaction* txn, Oid oid)
       GS_REQUIRES_SHARED(store_mu_);
 
-  bool DeepEqualsLocked(
-      Transaction* txn, const Value& a, const Value& b, TxnTime at,
-      std::unordered_map<std::uint64_t, std::uint64_t>* assumed) const
+  /// The resolver pair: one element's value as `view` sees it, nil when
+  /// unbound then (`element` null: never bound). Below the object's
+  /// history floor the resident tables keep only the creation marker and
+  /// carry-forward, so the tier store answers, and its errors surface.
+  Result<Value> NamedValueLocked(const View& view,
+                                 const NamedElement* element)
+      GS_REQUIRES_SHARED(store_mu_);
+  Result<Value> IndexedValueLocked(const View& view, std::size_t index)
       GS_REQUIRES_SHARED(store_mu_);
 
-  /// One element's committed value at `at`, consulting the tier store
-  /// when `at` lies below the object's history floor (where the resident
-  /// table keeps only the creation marker and carry-forward). nullopt =
-  /// not bound at `at`. Tier resolution errors degrade to nullopt here —
-  /// the fallible entry points route and surface errors themselves.
-  std::optional<Value> ResolvedNamedLocked(const GsObject& object,
-                                           SymbolId name, TxnTime at) const
-      GS_REQUIRES_SHARED(store_mu_);
-  std::optional<Value> ResolvedIndexedLocked(const GsObject& object,
-                                             std::size_t index,
-                                             TxnTime at) const
-      GS_REQUIRES_SHARED(store_mu_);
+  /// The named elements `view` sees bound to a non-nil value.
+  Result<std::vector<std::pair<SymbolId, Value>>> NamedValuesLocked(
+      const View& view) GS_REQUIRES_SHARED(store_mu_);
 
-  /// CountBoundNamedAt with sub-floor times routed through the tier.
-  std::size_t CountBoundNamedResolvedLocked(const GsObject& object,
-                                            TxnTime at) const
-      GS_REQUIRES_SHARED(store_mu_);
+  /// Pairs of oids under comparison on the current DeepEquals path.
+  using Assumed = std::set<std::pair<std::uint64_t, std::uint64_t>>;
 
-  /// True when a read of `object` at `at` must consult the level
-  /// resolver instead of the resident association tables.
-  bool RoutesToTierLocked(const GsObject& object, TxnTime at) const
-      GS_REQUIRES_SHARED(store_mu_) {
-    return tiers_ != nullptr && at != kTimeNow && at < object.history_floor();
-  }
+  Result<bool> DeepEqualsLocked(Transaction* txn, const Value& a,
+                                const Value& b, TxnTime at,
+                                Assumed* assumed)
+      GS_REQUIRES_SHARED(store_mu_);
+  /// DeepEqualsLocked of two distinct objects whose pair is in `assumed`.
+  Result<bool> ObjectsEqualLocked(Transaction* txn, Oid a, Oid b, TxnTime at,
+                                  Assumed* assumed)
+      GS_REQUIRES_SHARED(store_mu_);
 
   /// An accessed object that committed after the transaction started.
   struct Conflict {
@@ -319,14 +330,11 @@ class TransactionManager : public storage::tier::HistorySource {
   /// attached, deposits historical heat on `oid`'s extent tracks (see
   /// StorageEngine::NoteHistoricalObjectAccess), so history served from
   /// memory still shows up on the heatmap's time-dial side. Returns
-  /// whether the read is historical: the caller holds a
-  /// HistoricalAccessScope of that value over the rest of the read, tier
-  /// resolves included.
+  /// whether the read is historical (View::historical): the caller holds
+  /// a HistoricalAccessScope of that value over the rest of the read,
+  /// tier resolves included.
   bool NoteRead(Transaction* txn, Oid oid, TxnTime at)
       GS_REQUIRES_SHARED(store_mu_);
-
-  /// The historical half of NoteRead; History walks call it directly.
-  void NoteHistoricalRead(Oid oid) GS_REQUIRES_SHARED(store_mu_);
 
   /// Authorization hooks: a transaction's own created objects are always
   /// accessible (they join a segment only after publication).
@@ -361,10 +369,32 @@ class TransactionManager : public storage::tier::HistorySource {
   telemetry::Counter conflicts_;
   telemetry::Counter commit_storage_failures_;
   telemetry::Counter historical_reads_;
-  telemetry::Counter tier_routed_reads_;  // time-dial reads below a floor
+  telemetry::Counter tier_routed_reads_;  // element values from the tier
   telemetry::Histogram* commit_latency_us_;  // registry-owned
   telemetry::Histogram* publish_hold_us_;    // registry-owned
   telemetry::Registration telemetry_;  // after the counters it samples
+};
+
+/// One object as a read sees it: the object, the time to read its
+/// elements at, and whether the read is historical. Only ReadLocked can
+/// make one, after it has checked access and recorded the read, so no
+/// element value is reached by a read that skipped either. Valid while
+/// the caller holds store_mu_.
+class TransactionManager::View {
+ public:
+  const GsObject& object() const { return *object_; }
+  TxnTime at() const { return at_; }
+  bool historical() const { return historical_; }
+
+ private:
+  friend Result<View> TransactionManager::ReadLocked(Transaction* txn,
+                                                     Oid oid, TxnTime at);
+  View(const GsObject* object, TxnTime at, bool historical)
+      : object_(object), at_(at), historical_(historical) {}
+
+  const GsObject* object_;
+  TxnTime at_;
+  bool historical_;
 };
 
 }  // namespace gemstone::txn

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "admin/authorization.h"
 #include "executor/executor.h"
 #include "txn/session.h"
@@ -103,6 +105,50 @@ TEST_F(AccessIntegrationTest, OpalSessionsCarryUsers) {
   EXPECT_EQ(server.Execute(alice, "Payroll instVarNamed: 'total'")
                 .ValueOrDie(),
             Value::Integer(100));
+}
+
+// A structural comparison reads the objects it visits, so it is checked
+// like any read: a stranger cannot learn a value by guessing it.
+TEST_F(AccessIntegrationTest, StructuralEqualityIsAccessChecked) {
+  executor::Executor server;
+  server.transactions().set_access_controller(&auth_);
+  SessionId alice = server.Login(kAlice).ValueOrDie();
+  SessionId bob = server.Login(kBob).ValueOrDie();
+  ASSERT_TRUE(server
+                  .Execute(alice,
+                           "Payroll := Object new. "
+                           "Payroll instVarNamed: 'total' put: 100. "
+                           "System commitTransaction")
+                  .ok());
+  Oid payroll = server.Execute(alice, "Payroll").ValueOrDie().ref();
+  admin::SegmentId segment = auth_.CreateSegment(kAlice, "opal-payroll");
+  ASSERT_TRUE(auth_.AssignObject(kAlice, payroll, segment).ok());
+
+  for (const char* guess : {"99", "100"}) {
+    auto probe = server.Execute(
+        bob, std::string("| p | p := Object new. "
+                         "p instVarNamed: 'total' put: ") +
+                 guess + ". Payroll deepEqualTo: p");
+    EXPECT_EQ(probe.status().code(), StatusCode::kAuthorizationDenied)
+        << "guess " << guess;
+  }
+  EXPECT_EQ(server
+                .Execute(alice,
+                         "| p | p := Object new. "
+                         "p instVarNamed: 'total' put: 100. "
+                         "Payroll deepEqualTo: p")
+                .ValueOrDie(),
+            Value::Boolean(true));
+}
+
+TEST_F(AccessIntegrationTest, HistoryIsAccessChecked) {
+  txn::Session bob(&manager_, 2, kBob);
+  ASSERT_TRUE(bob.Begin().ok());
+  EXPECT_EQ(bob.History(payroll_, value_sym_).status().code(),
+            StatusCode::kAuthorizationDenied);
+  txn::Session alice(&manager_, 1, kAlice);
+  ASSERT_TRUE(alice.Begin().ok());
+  EXPECT_EQ(alice.History(payroll_, value_sym_).ValueOrDie().size(), 1u);
 }
 
 }  // namespace

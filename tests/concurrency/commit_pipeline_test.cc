@@ -230,6 +230,14 @@ TEST_F(CommitPipelineTest, ReadersSeeExactlyCommittedHistory) {
     });
   }
 
+  // The writer starts once some reader has completed a read, so the
+  // `reads > 0` check below does not depend on thread scheduling.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reads.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   std::uint64_t rng = 0x5eed0016ull;
   std::size_t demoted = 0;
   for (int c = 1; c <= kCommits; ++c) {

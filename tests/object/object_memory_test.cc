@@ -95,63 +95,6 @@ TEST_F(ObjectMemoryTest, ClassOfImmediatesAndRefs) {
   EXPECT_EQ(memory_.ClassOf(Value::Ref(oid)), k.set);
 }
 
-// §4.2: "Two entities can have equivalent structures ... but not be the
-// same object. Thus, we can distinguish, say, two gates in a circuit that
-// have all the same characteristics, but are not physically the same gate."
-TEST_F(ObjectMemoryTest, IdentityVersusStructuralEquivalence) {
-  Oid gate1 = MakeObject(memory_.kernel().object);
-  Oid gate2 = MakeObject(memory_.kernel().object);
-  for (Oid g : {gate1, gate2}) {
-    GsObject* obj = memory_.FindMutable(g);
-    obj->WriteNamed(Sym("kind"), 1, Value::String("nand"));
-    obj->WriteNamed(Sym("delayNs"), 1, Value::Integer(4));
-  }
-  // Not identical...
-  EXPECT_NE(Value::Ref(gate1), Value::Ref(gate2));
-  // ...but structurally equivalent.
-  EXPECT_TRUE(
-      memory_.DeepEquals(Value::Ref(gate1), Value::Ref(gate2), kTimeNow));
-
-  memory_.FindMutable(gate2)->WriteNamed(Sym("delayNs"), 2, Value::Integer(9));
-  EXPECT_FALSE(
-      memory_.DeepEquals(Value::Ref(gate1), Value::Ref(gate2), kTimeNow));
-  // At t=1 they were still equivalent.
-  EXPECT_TRUE(memory_.DeepEquals(Value::Ref(gate1), Value::Ref(gate2), 1));
-}
-
-TEST_F(ObjectMemoryTest, DeepEqualsDifferentClassesFalse) {
-  Oid a = MakeObject(memory_.kernel().set);
-  Oid b = MakeObject(memory_.kernel().bag);
-  EXPECT_FALSE(memory_.DeepEquals(Value::Ref(a), Value::Ref(b), kTimeNow));
-}
-
-TEST_F(ObjectMemoryTest, DeepEqualsSetsAreUnordered) {
-  const auto& k = memory_.kernel();
-  Oid s1 = MakeObject(k.set);
-  Oid s2 = MakeObject(k.set);
-  auto add = [&](Oid set, Value v) {
-    memory_.FindMutable(set)->WriteNamed(memory_.symbols().GenerateAlias(), 1,
-                                         std::move(v));
-  };
-  add(s1, Value::String("Olivia"));
-  add(s1, Value::String("Dale"));
-  add(s2, Value::String("Dale"));
-  add(s2, Value::String("Olivia"));
-  EXPECT_TRUE(memory_.DeepEquals(Value::Ref(s1), Value::Ref(s2), kTimeNow));
-  add(s2, Value::String("Paul"));
-  EXPECT_FALSE(memory_.DeepEquals(Value::Ref(s1), Value::Ref(s2), kTimeNow));
-}
-
-TEST_F(ObjectMemoryTest, DeepEqualsHandlesCycles) {
-  Oid a = MakeObject(memory_.kernel().object);
-  Oid b = MakeObject(memory_.kernel().object);
-  memory_.FindMutable(a)->WriteNamed(Sym("next"), 1, Value::Ref(b));
-  memory_.FindMutable(b)->WriteNamed(Sym("next"), 1, Value::Ref(a));
-  // Two mutually-referencing objects: structurally equivalent under the
-  // coinductive reading, and the comparison must terminate.
-  EXPECT_TRUE(memory_.DeepEquals(Value::Ref(a), Value::Ref(b), kTimeNow));
-}
-
 TEST_F(ObjectMemoryTest, PrinterRendersStdmNotation) {
   const auto& k = memory_.kernel();
   Oid dept = MakeObject(k.object);

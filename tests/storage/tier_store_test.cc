@@ -539,6 +539,79 @@ TEST_F(TierManagerTest, SubFloorDialReadsAreHistoricalLevelTraffic) {
   EXPECT_EQ(level_accesses(false), current);
 }
 
+// Three objects whose `x` changes in every one of 12 commits, then has
+// its history demoted. Demotion keeps each element's first binding (the
+// creation marker) and last one (the carry-forward) resident. q agrees
+// with p except at the creation marker, r only at the two kept bindings,
+// so at a time between them the resident tables answer wrongly for both
+// pairs: only the cold runs give the right answer.
+class TierDeepEqualsTest : public TierManagerTest {
+ protected:
+  void SetUp() override {
+    p_ = CreateOne();
+    q_ = CreateOne();
+    r_ = CreateOne();
+    const SymbolId x = memory_.symbols().Intern("x");
+    for (int i = 0; i < 12; ++i) {
+      auto txn = manager_.Begin(0);
+      ASSERT_TRUE(
+          manager_.WriteNamed(txn.get(), p_, x, Value::Integer(i)).ok());
+      const bool kept = i == 0 || i == 11;
+      ASSERT_TRUE(manager_
+                      .WriteNamed(txn.get(), q_, x,
+                                  Value::Integer(i == 0 ? 50 : i))
+                      .ok());
+      ASSERT_TRUE(manager_
+                      .WriteNamed(txn.get(), r_, x,
+                                  Value::Integer(kept ? i : 100 + i))
+                      .ok());
+      ASSERT_TRUE(manager_.Commit(txn.get()).ok());
+      times_.push_back(manager_.Now());
+    }
+    CompactorOptions copts;
+    copts.min_versions = 2;
+    TierCompactor compactor(&tiers_, &manager_, copts);
+    ASSERT_TRUE(compactor.RunOncePass().ok());
+    for (Oid oid : {p_, q_, r_}) {
+      ASSERT_GT(memory_.Find(oid)->history_floor(), mid());
+    }
+  }
+
+  TxnTime mid() const { return times_[5]; }
+
+  Oid p_, q_, r_;
+  std::vector<TxnTime> times_;
+};
+
+TEST_F(TierDeepEqualsTest, ComparesBelowTheHistoryFloor) {
+  auto reader = manager_.Begin(1);
+  const TxnTime t = mid();
+  EXPECT_TRUE(manager_.DeepEquals(reader.get(), Value::Ref(p_),
+                                  Value::Ref(q_), t)
+                  .ValueOrDie());
+  EXPECT_FALSE(manager_.DeepEquals(reader.get(), Value::Ref(p_),
+                                   Value::Ref(r_), t)
+                   .ValueOrDie());
+}
+
+// A level device that cannot be read fails the comparison; it does not
+// answer "unequal".
+TEST_F(TierDeepEqualsTest, TierReadFaultSurfaces) {
+  for (std::size_t level = 0; level < tiers_.cold_levels(); ++level) {
+    SimulatedDisk* disk = tiers_.level_disk(level);
+    for (TrackId track = 0; track < disk->num_tracks(); ++track) {
+      disk->InjectReadFault(track);
+    }
+  }
+  auto reader = manager_.Begin(1);
+  const Result<bool> equal = manager_.DeepEquals(
+      reader.get(), Value::Ref(p_), Value::Ref(r_), mid());
+  EXPECT_EQ(equal.status().code(), StatusCode::kIoError);
+  for (std::size_t level = 0; level < tiers_.cold_levels(); ++level) {
+    tiers_.level_disk(level)->ClearFault();
+  }
+}
+
 TEST_F(TierManagerTest, PinnedReadsLeaveHistoryColdForDemotion) {
   const Oid oid = CreateOne();
   const SymbolId x = memory_.symbols().Intern("x");

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/trace.h"
+
 namespace gemstone::txn {
 namespace {
 
@@ -220,6 +222,147 @@ TEST_F(TransactionManagerTest, ListNamedSkipsDeparted) {
   EXPECT_EQ(members[0].second, Value::Integer(2));
   // At the earlier time both members are present.
   EXPECT_EQ(manager_.ListNamed(txn3.get(), set, 1).ValueOrDie().size(), 2u);
+}
+
+// §4.2: "Two entities can have equivalent structures ... but not be the
+// same object. Thus, we can distinguish, say, two gates in a circuit that
+// have all the same characteristics, but are not physically the same gate."
+TEST_F(TransactionManagerTest, IdentityVersusStructuralEquivalence) {
+  auto build = manager_.Begin(0);
+  const Oid gate1 =
+      manager_.CreateObject(build.get(), memory_.kernel().object).ValueOrDie();
+  const Oid gate2 =
+      manager_.CreateObject(build.get(), memory_.kernel().object).ValueOrDie();
+  for (Oid g : {gate1, gate2}) {
+    ASSERT_TRUE(manager_
+                    .WriteNamed(build.get(), g, Sym("kind"),
+                                Value::String("nand"))
+                    .ok());
+    ASSERT_TRUE(
+        manager_.WriteNamed(build.get(), g, Sym("delayNs"), Value::Integer(4))
+            .ok());
+  }
+  ASSERT_TRUE(manager_.Commit(build.get()).ok());  // t=1
+  const Value a = Value::Ref(gate1);
+  const Value b = Value::Ref(gate2);
+
+  // Not identical...
+  EXPECT_NE(a, b);
+  // ...but structurally equivalent.
+  auto before = manager_.Begin(1);
+  EXPECT_TRUE(manager_.DeepEquals(before.get(), a, b).ValueOrDie());
+
+  auto rewire = manager_.Begin(0);
+  ASSERT_TRUE(manager_
+                  .WriteNamed(rewire.get(), gate2, Sym("delayNs"),
+                              Value::Integer(9))
+                  .ok());
+  ASSERT_TRUE(manager_.Commit(rewire.get()).ok());  // t=2
+  auto after = manager_.Begin(1);
+  EXPECT_FALSE(manager_.DeepEquals(after.get(), a, b).ValueOrDie());
+  // At t=1 they were still equivalent.
+  EXPECT_TRUE(manager_.DeepEquals(after.get(), a, b, 1).ValueOrDie());
+}
+
+TEST_F(TransactionManagerTest, DeepEqualsDifferentClassesFalse) {
+  auto txn = manager_.Begin(0);
+  const Oid a =
+      manager_.CreateObject(txn.get(), memory_.kernel().set).ValueOrDie();
+  const Oid b =
+      manager_.CreateObject(txn.get(), memory_.kernel().bag).ValueOrDie();
+  ASSERT_TRUE(manager_.Commit(txn.get()).ok());
+  auto reader = manager_.Begin(1);
+  EXPECT_FALSE(manager_.DeepEquals(reader.get(), Value::Ref(a), Value::Ref(b))
+                   .ValueOrDie());
+  // A class is no stored object: it equals only itself.
+  const Value set_class = Value::Ref(memory_.kernel().set);
+  EXPECT_FALSE(
+      manager_.DeepEquals(reader.get(), Value::Ref(a), set_class).ValueOrDie());
+  EXPECT_FALSE(
+      manager_.DeepEquals(reader.get(), set_class, Value::Ref(a)).ValueOrDie());
+}
+
+TEST_F(TransactionManagerTest, DeepEqualsSetsAreUnordered) {
+  auto txn = manager_.Begin(0);
+  const Oid s1 =
+      manager_.CreateObject(txn.get(), memory_.kernel().set).ValueOrDie();
+  const Oid s2 =
+      manager_.CreateObject(txn.get(), memory_.kernel().set).ValueOrDie();
+  auto add = [&](Transaction* t, Oid set, const char* member) {
+    return manager_.WriteNamed(t, set, memory_.symbols().GenerateAlias(),
+                               Value::String(member));
+  };
+  ASSERT_TRUE(add(txn.get(), s1, "Olivia").ok());
+  ASSERT_TRUE(add(txn.get(), s1, "Dale").ok());
+  ASSERT_TRUE(add(txn.get(), s2, "Dale").ok());
+  ASSERT_TRUE(add(txn.get(), s2, "Olivia").ok());
+  ASSERT_TRUE(manager_.Commit(txn.get()).ok());
+
+  auto reader = manager_.Begin(1);
+  EXPECT_TRUE(manager_.DeepEquals(reader.get(), Value::Ref(s1), Value::Ref(s2))
+                  .ValueOrDie());
+  // The comparison sees the transaction's own workspace.
+  ASSERT_TRUE(add(reader.get(), s2, "Paul").ok());
+  EXPECT_FALSE(
+      manager_.DeepEquals(reader.get(), Value::Ref(s1), Value::Ref(s2))
+          .ValueOrDie());
+}
+
+TEST_F(TransactionManagerTest, DeepEqualsHandlesCycles) {
+  auto txn = manager_.Begin(0);
+  const Oid a =
+      manager_.CreateObject(txn.get(), memory_.kernel().object).ValueOrDie();
+  const Oid b =
+      manager_.CreateObject(txn.get(), memory_.kernel().object).ValueOrDie();
+  ASSERT_TRUE(
+      manager_.WriteNamed(txn.get(), a, Sym("next"), Value::Ref(b)).ok());
+  ASSERT_TRUE(
+      manager_.WriteNamed(txn.get(), b, Sym("next"), Value::Ref(a)).ok());
+  ASSERT_TRUE(manager_.Commit(txn.get()).ok());
+  // Two mutually-referencing objects: structurally equivalent under the
+  // coinductive reading, and the comparison must terminate.
+  auto reader = manager_.Begin(1);
+  EXPECT_TRUE(manager_.DeepEquals(reader.get(), Value::Ref(a), Value::Ref(b))
+                  .ValueOrDie());
+}
+
+// A structural comparison reads the objects it visits, so they join the
+// read set: a commit that changes one of them after the comparison
+// invalidates the comparing transaction (no lost update).
+TEST_F(TransactionManagerTest, DeepEqualsJoinsTheReadSet) {
+  const Oid x = Seed("v", Value::Integer(1));
+  const Oid y = Seed("v", Value::Integer(1));
+  const Oid z = Seed("v", Value::Integer(0));
+  auto b = manager_.Begin(2);
+  ASSERT_TRUE(manager_.DeepEquals(b.get(), Value::Ref(x), Value::Ref(y))
+                  .ValueOrDie());
+  ASSERT_TRUE(manager_.WriteNamed(b.get(), z, Sym("v"), Value::Integer(1)).ok());
+
+  auto a = manager_.Begin(1);
+  ASSERT_TRUE(manager_.WriteNamed(a.get(), x, Sym("v"), Value::Integer(2)).ok());
+  ASSERT_TRUE(manager_.Commit(a.get()).ok());
+  EXPECT_EQ(manager_.Commit(b.get()).code(), StatusCode::kTransactionConflict);
+}
+
+// Read-only commits (a validated read set, or nothing recorded at all)
+// leave an outcome in the event ring like a writer's commit does.
+TEST_F(TransactionManagerTest, EveryCommitPathRecordsItsOutcome) {
+  const Oid oid = Seed("x", Value::Integer(1));
+  telemetry::TraceRing::Events().Clear();
+  const std::uint64_t committed = manager_.stats().committed;
+
+  auto reader = manager_.Begin(1);
+  ASSERT_TRUE(manager_.ReadNamed(reader.get(), oid, Sym("x")).ok());
+  ASSERT_TRUE(manager_.Commit(reader.get()).ok());
+  auto empty = manager_.Begin(2);
+  ASSERT_TRUE(manager_.Commit(empty.get()).ok());
+
+  std::uint64_t commit_events = 0;
+  for (const auto& event : telemetry::TraceRing::Events().Snapshot()) {
+    if (event.kind == telemetry::TraceKind::kTxnCommit) ++commit_events;
+  }
+  EXPECT_EQ(commit_events, 2u);
+  EXPECT_EQ(manager_.stats().committed, committed + 2);
 }
 
 TEST_F(TransactionManagerTest, OperationsOnFinishedTransactionRejected) {
