@@ -42,12 +42,12 @@ telemetry::Gauge* ActiveSessionsGauge() {
 }  // namespace
 
 Executor::Executor()
-    : directories_(&memory_), transactions_(&memory_, nullptr) {
+    : directories_(&memory_), transactions_(&memory_, nullptr, &directories_) {
   Bootstrap();
 }
 
 Executor::Executor(storage::StorageEngine* engine)
-    : directories_(&memory_), transactions_(&memory_, engine) {
+    : directories_(&memory_), transactions_(&memory_, engine, &directories_) {
   Bootstrap();
 }
 

@@ -1,5 +1,6 @@
 #include "index/directory.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace gemstone::index {
@@ -23,18 +24,13 @@ std::string EncodeNumber(double d) {
   return out;
 }
 
-// A posting is visible at `at` from its open (inclusive) to its close
-// (exclusive); an open posting (until == kTimeNow) is visible at kTimeNow.
-bool Visible(const Posting& p, TxnTime at) {
-  if (p.since > at) return false;
-  return p.until == kTimeNow || at < p.until;
-}
-
 }  // namespace
 
-Directory::Directory(Oid collection, std::vector<SymbolId> path)
+Directory::Directory(Oid collection, std::vector<SymbolId> path,
+                     TxnTime filled_at)
     : collection_(collection),
       path_(std::move(path)),
+      filled_at_(filled_at),
       telemetry_(telemetry::MetricsRegistry::Global().Register(
           [this](telemetry::SampleSink* sink) {
             sink->Counter("directory.lookups", lookups_.value());
@@ -53,16 +49,7 @@ std::string Directory::KeyOf(const Value& value) {
 }
 
 std::vector<Oid> Directory::Lookup(const Value& key, TxnTime at) const {
-  MutexLock lock(mu_);
-  lookups_.Increment();
-  std::vector<Oid> out;
-  auto it = postings_.find(KeyOf(key));
-  if (it == postings_.end()) return out;
-  for (const Posting& p : it->second) {
-    postings_scanned_.Increment();
-    if (Visible(p, at)) out.push_back(p.member);
-  }
-  return out;
+  return LookupRange(key, key, at);
 }
 
 std::vector<Oid> Directory::LookupRange(const Value& lo, const Value& hi,
@@ -75,36 +62,63 @@ std::vector<Oid> Directory::LookupRange(const Value& lo, const Value& hi,
   for (auto it = begin; it != end; ++it) {
     for (const Posting& p : it->second) {
       postings_scanned_.Increment();
-      if (Visible(p, at)) out.push_back(p.member);
+      // [since, until); an open posting is visible at kTimeNow too.
+      if (p.since <= at && (p.until == kTimeNow || at < p.until)) {
+        out.push_back(p.member);
+      }
     }
   }
   return out;
 }
 
-void Directory::Add(const Value& key, Oid member, TxnTime at) {
+void Directory::Add(SymbolId slot, const Value& key, Oid member, TxnTime at,
+                    std::vector<std::uint64_t> through) {
   MutexLock lock(mu_);
   updates_.Increment();
-  // Close a currently-open posting first (discriminator change).
-  auto open_it = open_.find(member.raw);
-  if (open_it != open_.end()) {
-    for (Posting& p : postings_[open_it->second]) {
-      if (p.member == member && p.until == kTimeNow) p.until = at;
-    }
-  }
   const std::string k = KeyOf(key);
-  postings_[k].push_back(Posting{member, at, kTimeNow});
-  open_[member.raw] = k;
+  auto [it, fresh] = open_.try_emplace(slot);
+  Open& open = it->second;
+  // An unchanged posting only moves its reverse-map entries.
+  if (fresh || open.key != k || postings_[k][open.index].member != member) {
+    if (!fresh) postings_[open.key][open.index].until = at;
+    std::vector<Posting>& list = postings_[k];
+    list.push_back(Posting{member, at, kTimeNow});
+    open.key = k;
+    open.index = list.size() - 1;
+  }
+  for (std::uint64_t raw : open.through) through_.erase({raw, slot});
+  for (std::uint64_t raw : through) through_.insert({raw, slot});
+  open.through = std::move(through);
 }
 
-void Directory::Remove(Oid member, TxnTime at) {
+void Directory::Remove(SymbolId slot, TxnTime at) {
   MutexLock lock(mu_);
   updates_.Increment();
-  auto open_it = open_.find(member.raw);
-  if (open_it == open_.end()) return;
-  for (Posting& p : postings_[open_it->second]) {
-    if (p.member == member && p.until == kTimeNow) p.until = at;
+  auto it = open_.find(slot);
+  if (it == open_.end()) return;
+  postings_[it->second.key][it->second.index].until = at;
+  for (std::uint64_t raw : it->second.through) through_.erase({raw, slot});
+  open_.erase(it);
+}
+
+std::vector<SymbolId> Directory::SlotsTouchedBy(
+    const std::vector<storage::ObjectImage>& images) const {
+  std::vector<SymbolId> slots;
+  MutexLock lock(mu_);
+  for (const storage::ObjectImage& image : images) {
+    if (image.object == nullptr) continue;  // created: on no key path yet
+    const std::uint64_t raw = image.object->oid().raw;
+    if (raw == collection_.raw) {
+      for (const auto& [name, value] : image.named) slots.push_back(name);
+    }
+    for (auto it = through_.lower_bound({raw, 0});
+         it != through_.end() && it->first == raw; ++it) {
+      slots.push_back(it->second);
+    }
   }
-  open_.erase(open_it);
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  return slots;
 }
 
 std::size_t Directory::posting_count() const {
@@ -122,18 +136,25 @@ DirectoryStats Directory::stats() const {
   return stats;
 }
 
-Result<Value> DirectoryManager::ReadPath(txn::Session* session,
-                                         const Value& member,
-                                         const std::vector<SymbolId>& path) {
-  Value current = member;
-  for (SymbolId step : path) {
-    if (!current.IsRef()) {
-      return Status::TypeMismatch(
-          "directory discriminator path hits a simple value");
+void DirectoryManager::Post(Directory* directory, const GsObject* collection,
+                            SymbolId slot, TxnTime at) const {
+  const Value* held =
+      collection != nullptr ? collection->ReadNamed(slot, at) : nullptr;
+  // A departed member closes; simple values are not indexed.
+  if (held == nullptr || !held->IsRef()) return directory->Remove(slot, at);
+  std::vector<std::uint64_t> through;
+  Value key = *held;
+  for (SymbolId step : directory->path()) {
+    const GsObject* object = key.IsRef() ? memory_->Find(key.ref()) : nullptr;
+    if (object == nullptr) {
+      key = Value::Nil();
+      break;
     }
-    GS_ASSIGN_OR_RETURN(current, session->ReadNamed(current.ref(), step));
+    through.push_back(object->oid().raw);
+    const Value* next = object->ReadNamed(step, at);
+    key = next != nullptr ? *next : Value::Nil();
   }
-  return current;
+  directory->Add(slot, key, held->ref(), at, std::move(through));
 }
 
 Status DirectoryManager::CreateDirectory(txn::Session* session,
@@ -142,32 +163,32 @@ Status DirectoryManager::CreateDirectory(txn::Session* session,
   if (path.empty()) {
     return Status::InvalidArgument("directory path must be non-empty");
   }
-  if (Find(collection, path) != nullptr) {
-    return Status::AlreadyExists("directory already exists on that path");
-  }
-  // The directory is shared and outlives the transaction, and only a
-  // registered one is maintained (NoteAdd/NoteRemove): a member missed
-  // here stays missed. So it is filled from the latest committed state
-  // plus the workspace, not from a snapshot pin that commits may have
-  // passed, and the request's later reads are current reads too.
-  if (session->transaction() != nullptr) session->transaction()->LeavePin();
-  auto directory = std::make_unique<Directory>(collection, path);
-  // Populate from the collection's members as the session reads them,
-  // stamped at the time they are read at: the dial, else now.
-  GS_ASSIGN_OR_RETURN(auto members, session->ListNamed(collection));
-  const TxnTime at = session->EffectiveTime() == kTimeNow
-                         ? session->manager().Now()
-                         : session->EffectiveTime();
-  for (const auto& [name, member] : members) {
-    GS_ASSIGN_OR_RETURN(Value key, ReadPath(session, member, path));
-    if (!member.IsRef()) {
-      return Status::TypeMismatch("directory members must be objects");
+  // The creator must be able to read the collection; the fill then reads
+  // committed objects, which no session's workspace or pin can change.
+  GS_RETURN_IF_ERROR(session->ListNamed(collection).status());
+  return session->manager().ReadCommitted([&](TxnTime now) -> Status {
+    const GsObject* set = memory_->Find(collection);
+    if (set == nullptr) {
+      return Status::NotFound("directories index committed collections");
     }
-    directory->Add(key, member.ref(), at);
-  }
-  MutexLock lock(mu_);
-  directories_.push_back(std::move(directory));
-  return Status::OK();
+    const GsClass* cls = memory_->classes().Get(set->class_oid());
+    if (cls == nullptr || cls->format() == ObjectFormat::kIndexed) {
+      return Status::TypeMismatch("directories index named collections");
+    }
+    auto directory = std::make_unique<Directory>(collection, path, now);
+    for (const NamedElement& element : set->named_elements()) {
+      Post(directory.get(), set, element.name, now);
+    }
+    MutexLock lock(mu_);
+    for (const auto& d : directories_) {
+      if (d->collection() == collection && d->path() == path) {
+        return Status::AlreadyExists("directory already exists on that path");
+      }
+    }
+    directories_.push_back(std::move(directory));
+    any_.store(true, std::memory_order_relaxed);
+    return Status::OK();
+  });
 }
 
 Directory* DirectoryManager::Find(Oid collection,
@@ -179,50 +200,19 @@ Directory* DirectoryManager::Find(Oid collection,
   return nullptr;
 }
 
-Directory* DirectoryManager::FindByFirstStep(Oid collection, SymbolId first) {
-  MutexLock lock(mu_);
-  for (const auto& d : directories_) {
-    if (d->collection() == collection && !d->path().empty() &&
-        d->path().front() == first) {
-      return d.get();
-    }
-  }
-  return nullptr;
-}
-
-Status DirectoryManager::NoteAdd(txn::Session* session, Oid collection,
-                                 const Value& member) {
-  if (!member.IsRef()) return Status::OK();  // simple values are not indexed
-  std::vector<Directory*> affected;
+void DirectoryManager::Published(
+    TxnTime time, const std::vector<storage::ObjectImage>& images) {
+  if (!any_.load(std::memory_order_relaxed)) return;
+  std::vector<Directory*> directories;
   {
     MutexLock lock(mu_);
-    for (const auto& d : directories_) {
-      if (d->collection() == collection) affected.push_back(d.get());
-    }
+    for (const auto& d : directories_) directories.push_back(d.get());
   }
-  const TxnTime now = session->manager().Now() + 1;  // effective at commit
-  for (Directory* d : affected) {
-    GS_ASSIGN_OR_RETURN(Value key, ReadPath(session, member, d->path()));
-    d->Add(key, member.ref(), now);
+  for (Directory* directory : directories) {
+    const std::vector<SymbolId> slots = directory->SlotsTouchedBy(images);
+    const GsObject* collection = memory_->Find(directory->collection());
+    for (SymbolId slot : slots) Post(directory, collection, slot, time);
   }
-  return Status::OK();
-}
-
-Status DirectoryManager::NoteRemove(txn::Session* session, Oid collection,
-                                    const Value& member) {
-  if (!member.IsRef()) return Status::OK();
-  std::vector<Directory*> affected;
-  {
-    MutexLock lock(mu_);
-    for (const auto& d : directories_) {
-      if (d->collection() == collection) affected.push_back(d.get());
-    }
-  }
-  const TxnTime now = session->manager().Now() + 1;
-  for (Directory* d : affected) {
-    d->Remove(member.ref(), now);
-  }
-  return Status::OK();
 }
 
 }  // namespace gemstone::index

@@ -1,9 +1,11 @@
 #ifndef GEMSTONE_INDEX_DIRECTORY_H_
 #define GEMSTONE_INDEX_DIRECTORY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,14 +45,19 @@ struct DirectoryStats {
 /// whose nested discriminator differs across database states appears in
 /// several postings, the paper's "two branches" problem).
 ///
+/// Postings are kept per element ("slot") of the collection, so a member
+/// held under two names answers twice, as a scan of the collection does.
 /// Keys are ordered by the canonical rendering of the discriminator
 /// value, so the directory answers equality probes and ordered ranges.
 class Directory {
  public:
-  Directory(Oid collection, std::vector<SymbolId> path);
+  Directory(Oid collection, std::vector<SymbolId> path,
+            TxnTime filled_at = kTimeOrigin);
 
   Oid collection() const { return collection_; }
   const std::vector<SymbolId>& path() const { return path_; }
+  /// The time it was filled at (T0): it answers only reads at or after it.
+  TxnTime filled_at() const { return filled_at_; }
 
   /// Members whose discriminator equals `key` at time `at`.
   std::vector<Oid> Lookup(const Value& key, TxnTime at) const;
@@ -60,28 +67,42 @@ class Directory {
   std::vector<Oid> LookupRange(const Value& lo, const Value& hi,
                                TxnTime at) const;
 
-  /// Records that `member` acquired discriminator `key` at `at` (closing
-  /// any posting that was current).
-  void Add(const Value& key, Oid member, TxnTime at);
+  /// Records that the collection's element `slot` holds `member` under
+  /// `key` from `at` on, closing the slot's open posting; nothing new
+  /// when that already says so. `through`: the objects the key path
+  /// passed through (the member, then each intermediate).
+  void Add(SymbolId slot, const Value& key, Oid member, TxnTime at,
+           std::vector<std::uint64_t> through = {});
 
-  /// Closes `member`'s current posting at `at` (member removed from the
-  /// collection or discriminator about to change).
-  void Remove(Oid member, TxnTime at);
+  /// Closes `slot`'s open posting at `at` (its member left).
+  void Remove(SymbolId slot, TxnTime at);
+
+  /// The slots a commit of `images` rebound or changed a path object of.
+  std::vector<SymbolId> SlotsTouchedBy(
+      const std::vector<storage::ObjectImage>& images) const;
 
   std::size_t posting_count() const;
   DirectoryStats stats() const;
 
  private:
+  struct Open {  // a slot's open posting
+    std::string key;
+    std::size_t index = 0;  // into postings_[key], which only appends
+    std::vector<std::uint64_t> through;
+  };
+
   static std::string KeyOf(const Value& value);
 
   Oid collection_;
   std::vector<SymbolId> path_;
+  TxnTime filled_at_;
 
   mutable Mutex mu_{LockRank::kDirectory, "index.directory_mu"};
   // Ordered so range probes walk a contiguous key span.
   std::map<std::string, std::vector<Posting>> postings_ GS_GUARDED_BY(mu_);
-  // member -> key of its currently-open posting (for Remove/Re-Add).
-  std::unordered_map<std::uint64_t, std::string> open_ GS_GUARDED_BY(mu_);
+  std::unordered_map<SymbolId, Open> open_ GS_GUARDED_BY(mu_);
+  // The reverse map: (oid, slot) for every object on a slot's key path.
+  std::set<std::pair<std::uint64_t, SymbolId>> through_ GS_GUARDED_BY(mu_);
 
   mutable telemetry::Counter lookups_;
   mutable telemetry::Counter postings_scanned_;
@@ -91,46 +112,42 @@ class Directory {
 
 /// The Directory Manager (§6): "creates and maintains directories."
 /// Directories are created from OPAL "storage hints" (a createDirectory
-/// request naming a collection and a discriminator path) and maintained
-/// by the collection primitives on add/remove/update.
-class DirectoryManager {
+/// request naming a collection and a discriminator path). Then, as the
+/// TransactionManager's publish listener, the commit is their one writer:
+/// uncommitted and aborted work never reaches them.
+class DirectoryManager : public txn::PublishListener {
  public:
   explicit DirectoryManager(ObjectMemory* memory) : memory_(memory) {}
 
-  /// Builds a directory over `collection` discriminating on `path`,
-  /// populated from the members `session` reads, with entries stamped at
-  /// the time it reads them at: its dial, else now. It ends a snapshot pin
-  /// on the session's transaction (Transaction::LeavePin), so the members
-  /// are the latest committed ones plus the workspace's.
+  /// Builds a directory over `collection` discriminating on `path`, once
+  /// `session` has shown it may read the collection: filled from committed
+  /// state with publishes excluded (ReadCommitted), stamped at its time,
+  /// registered before the next publish. The session's pin stays.
   Status CreateDirectory(txn::Session* session, Oid collection,
                          const std::vector<SymbolId>& path);
 
   /// The directory on (collection, path), or nullptr.
   Directory* Find(Oid collection, const std::vector<SymbolId>& path);
 
-  /// Any directory on `collection` whose path starts with `first`
-  /// (used by selectWhere: planning), or nullptr.
-  Directory* FindByFirstStep(Oid collection, SymbolId first);
-
-  /// Maintenance hook: `member` was added to `collection` at current
-  /// time. Reads the discriminator through `session` and posts it.
-  Status NoteAdd(txn::Session* session, Oid collection, const Value& member);
-
-  /// Maintenance hook: `member` left `collection`.
-  Status NoteRemove(txn::Session* session, Oid collection,
-                    const Value& member);
-
   std::size_t directory_count() const {
     MutexLock lock(mu_);
     return directories_.size();
   }
 
-  /// Evaluates a discriminator path against one member value.
-  static Result<Value> ReadPath(txn::Session* session, const Value& member,
-                                const std::vector<SymbolId>& path);
+  /// Re-posts, at `time`, the slots of each directory the commit touched.
+  void Published(TxnTime time,
+                 const std::vector<storage::ObjectImage>& images) override;
 
  private:
+  /// The one key evaluator: posts `slot` of `collection` (null: gone) as
+  /// committed objects hold it at `at`, reading them before any directory
+  /// lock. A slot holding no object closes; a broken path keys nil.
+  void Post(Directory* directory, const GsObject* collection, SymbolId slot,
+            TxnTime at) const;
+
   ObjectMemory* memory_;
+  // Set by the first registration; until then a publish costs one load.
+  std::atomic<bool> any_{false};
   mutable Mutex mu_{LockRank::kDirectoryManager,
                     "index.directory_manager_mu"};
   // Directories are never destroyed once registered, so the raw pointers

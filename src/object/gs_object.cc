@@ -27,15 +27,6 @@ const NamedElement* GsObject::FindNamed(SymbolId name) const {
   return nullptr;
 }
 
-std::size_t GsObject::CountBoundNamedAt(TxnTime time) const {
-  std::size_t count = 0;
-  for (const NamedElement& element : named_) {
-    const Value* v = element.table.ValueAt(time);
-    if (v != nullptr && !v->IsNil()) ++count;
-  }
-  return count;
-}
-
 void GsObject::WriteIndexed(std::size_t index, TxnTime time, Value value) {
   while (indexed_.size() <= index) {
     indexed_.emplace_back();

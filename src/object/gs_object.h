@@ -65,10 +65,6 @@ class GsObject {
   /// All named elements in creation order (stable display order).
   const std::vector<NamedElement>& named_elements() const { return named_; }
 
-  /// Number of named elements whose value at `time` is bound and non-nil —
-  /// the cardinality of a set at `time`.
-  std::size_t CountBoundNamedAt(TxnTime time) const;
-
   // --- Indexed elements ---------------------------------------------------
 
   /// Writes slot `index` (0-based) at `time`, growing the object; slots

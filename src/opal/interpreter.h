@@ -90,8 +90,8 @@ class Interpreter {
   txn::Session& session() { return *session_; }
   GlobalEnv& globals() { return *globals_; }
 
-  /// Optional Directory Manager: when set, collection primitives maintain
-  /// directories and selectWhere: consults them.
+  /// Optional Directory Manager: when set, createDirectoryOn:path: creates
+  /// directories (commits maintain them) and selectWhere: probes them.
   void set_directories(index::DirectoryManager* directories) {
     directories_ = directories;
   }

@@ -98,7 +98,7 @@ Status AppendRaw(Interpreter& interp, Oid array, const Value& member) {
 }
 
 /// Adds `member` into `collection` respecting its format and Set
-/// uniqueness, and notifies the directory manager.
+/// uniqueness.
 Result<Value> GenericAdd(Interpreter& interp, const Value& collection,
                          const Value& member) {
   GS_ASSIGN_OR_RETURN(Oid class_oid, interp.ClassOfValue(collection));
@@ -115,10 +115,6 @@ Result<Value> GenericAdd(Interpreter& interp, const Value& collection,
       }
     }
     GS_RETURN_IF_ERROR(SetAddRaw(interp, collection.ref(), member));
-  }
-  if (interp.directories() != nullptr) {
-    GS_RETURN_IF_ERROR(interp.directories()->NoteAdd(
-        &interp.session(), collection.ref(), member));
   }
   return member;
 }
@@ -174,81 +170,76 @@ Result<bool> OrderedCompare(const Value& a, const Value& b,
 Result<bool> EvalConjunct(Interpreter& interp,
                           const CompiledMethod::PredicateConjunct& conjunct,
                           const Value& member) {
-  Value lhs = member;
-  for (const std::string& step : conjunct.lhs_path) {
-    if (!lhs.IsRef()) return Status::TypeMismatch("path into simple value");
-    const SymbolId sym = interp.memory().symbols().Intern(step);
-    GS_ASSIGN_OR_RETURN(lhs, interp.session().ReadNamed(lhs.ref(), sym));
-  }
-  Value rhs;
-  if (conjunct.rhs_path.empty()) {
-    rhs = conjunct.rhs_literal;
-  } else {
-    rhs = member;
-    for (const std::string& step : conjunct.rhs_path) {
-      if (!rhs.IsRef()) return Status::TypeMismatch("path into simple value");
+  auto walk = [&](const std::vector<std::string>& path) -> Result<Value> {
+    Value v = member;
+    for (const std::string& step : path) {
+      if (!v.IsRef()) return Status::TypeMismatch("path into simple value");
       const SymbolId sym = interp.memory().symbols().Intern(step);
-      GS_ASSIGN_OR_RETURN(rhs, interp.session().ReadNamed(rhs.ref(), sym));
+      GS_ASSIGN_OR_RETURN(v, interp.session().ReadNamed(v.ref(), sym));
     }
+    return v;
+  };
+  GS_ASSIGN_OR_RETURN(const Value lhs, walk(conjunct.lhs_path));
+  if (conjunct.rhs_path.empty()) {
+    return OrderedCompare(lhs, conjunct.rhs_literal, conjunct.op);
   }
+  GS_ASSIGN_OR_RETURN(const Value rhs, walk(conjunct.rhs_path));
   return OrderedCompare(lhs, rhs, conjunct.op);
 }
 
-/// Runs a declarative block over a collection: pick an equality conjunct
-/// covered by a directory as the access path, residual conjuncts filter.
+/// Runs a declarative block over a collection: pick a conjunct covered by
+/// a directory as the access path, residual conjuncts filter. A directory
+/// holds committed postings from its fill time on, so it serves reads at
+/// or after it by a transaction with no permanent write of its own; any
+/// other request scans. Either way the answer is select:'s.
 Result<Value> SelectWhere(Interpreter& interp, const Value& collection,
                           const CompiledMethod& block) {
   using CmpOp = CompiledMethod::PredicateConjunct::CmpOp;
   const auto& conjuncts = block.declarative_conjuncts;
+  txn::Session& session = interp.session();
+  const TxnTime at = session.EffectiveTime() == kTimeNow
+                         ? session.manager().Now()
+                         : session.EffectiveTime();
+  const bool may_probe = interp.directories() != nullptr &&
+                         collection.IsRef() &&
+                         session.transaction() != nullptr &&
+                         !session.transaction()->wrote_permanent();
 
   std::vector<Value> candidates;
-  int used_conjunct = -1;
-  if (interp.directories() != nullptr && collection.IsRef()) {
-    for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-      const auto& conj = conjuncts[c];
-      if (!conj.rhs_path.empty() || conj.lhs_path.empty()) continue;
-      std::vector<SymbolId> path;
-      for (const std::string& step : conj.lhs_path) {
-        path.push_back(interp.memory().symbols().Intern(step));
-      }
-      index::Directory* dir =
-          interp.directories()->Find(collection.ref(), path);
-      if (dir == nullptr) continue;
-      const TxnTime at = interp.session().EffectiveTime() == kTimeNow
-                             ? interp.session().manager().Now()
-                             : interp.session().EffectiveTime();
-      if (conj.op == CmpOp::kEq) {
-        for (Oid member : dir->Lookup(conj.rhs_literal, at)) {
-          candidates.push_back(Value::Ref(member));
-        }
-        used_conjunct = static_cast<int>(c);
-        break;
-      }
-      if (conj.op == CmpOp::kLt || conj.op == CmpOp::kLe ||
-          conj.op == CmpOp::kGt || conj.op == CmpOp::kGe) {
-        // Range probe; the residual check below re-applies the exact
-        // bound, so half-open endpoints need no special casing.
-        const Value lo = (conj.op == CmpOp::kGt || conj.op == CmpOp::kGe)
-                             ? conj.rhs_literal
-                             : Value::Float(-1e308);
-        const Value hi = (conj.op == CmpOp::kLt || conj.op == CmpOp::kLe)
-                             ? conj.rhs_literal
-                             : Value::Float(1e308);
-        if (!conj.rhs_literal.IsNumber()) continue;
-        for (Oid member : dir->LookupRange(lo, hi, at)) {
-          candidates.push_back(Value::Ref(member));
-        }
-        used_conjunct = static_cast<int>(c);
-        break;
-      }
+  bool probed = false;
+  for (std::size_t c = 0; may_probe && !probed && c < conjuncts.size(); ++c) {
+    const auto& conj = conjuncts[c];
+    const bool eq = conj.op == CmpOp::kEq;
+    const bool lower = conj.op == CmpOp::kGt || conj.op == CmpOp::kGe;
+    const bool upper = conj.op == CmpOp::kLt || conj.op == CmpOp::kLe;
+    if (!conj.rhs_path.empty() || conj.lhs_path.empty() ||
+        !(eq || ((lower || upper) && conj.rhs_literal.IsNumber()))) {
+      continue;
     }
+    std::vector<SymbolId> path;
+    for (const std::string& step : conj.lhs_path) {
+      path.push_back(interp.memory().symbols().Intern(step));
+    }
+    index::Directory* dir = interp.directories()->Find(collection.ref(), path);
+    if (dir == nullptr || at < dir->filled_at()) continue;
+    // Read the collection as the scan would: access-checked and recorded.
+    GS_RETURN_IF_ERROR(session.IndexedSize(collection.ref()).status());
+    // A one-sided range runs to the far end; the recheck below is exact.
+    const Value lo = eq || lower ? conj.rhs_literal : Value::Float(-1e308);
+    const Value hi = eq || upper ? conj.rhs_literal : Value::Float(1e308);
+    for (Oid member : dir->LookupRange(lo, hi, at)) {
+      candidates.push_back(Value::Ref(member));
+    }
+    probed = true;
   }
-  if (used_conjunct < 0) {
+  if (!probed) {
     GS_ASSIGN_OR_RETURN(candidates, CollectionMembers(interp, collection));
   }
 
   GS_ASSIGN_OR_RETURN(Oid class_oid, interp.ClassOfValue(collection));
   GS_ASSIGN_OR_RETURN(Value result, NewCollection(interp, class_oid));
+  const bool indexed = interp.memory().classes().Get(class_oid)->format() ==
+                       ObjectFormat::kIndexed;
   for (const Value& member : candidates) {
     bool keep = true;
     for (std::size_t c = 0; c < conjuncts.size() && keep; ++c) {
@@ -257,13 +248,8 @@ Result<Value> SelectWhere(Interpreter& interp, const Value& collection,
       GS_ASSIGN_OR_RETURN(keep, EvalConjunct(interp, conjuncts[c], member));
     }
     if (keep) {
-      GS_ASSIGN_OR_RETURN(Oid rcls, interp.ClassOfValue(result));
-      const GsClass* cls = interp.memory().classes().Get(rcls);
-      if (cls->format() == ObjectFormat::kIndexed) {
-        GS_RETURN_IF_ERROR(AppendRaw(interp, result.ref(), member));
-      } else {
-        GS_RETURN_IF_ERROR(SetAddRaw(interp, result.ref(), member));
-      }
+      GS_RETURN_IF_ERROR(indexed ? AppendRaw(interp, result.ref(), member)
+                                 : SetAddRaw(interp, result.ref(), member));
     }
   }
   return result;
@@ -1359,10 +1345,6 @@ Result<Value> SetRemove(Interpreter& interp, const Value& r,
       GS_RETURN_IF_ERROR(
           interp.session().WriteNamed(r.ref(), name, Value::Nil()));
       *removed = true;
-      if (interp.directories() != nullptr) {
-        GS_RETURN_IF_ERROR(interp.directories()->NoteRemove(
-            &interp.session(), r.ref(), value));
-      }
       return target;
     }
   }

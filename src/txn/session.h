@@ -133,8 +133,7 @@ class Session {
 };
 
 /// RAII snapshot pin (DESIGN.md §12): pins the session's transaction on
-/// entry if it is fresh (Transaction::Pin), and unpins it on scope exit
-/// unless the request already left the pin (Transaction::LeavePin).
+/// entry if it is fresh (Transaction::Pin), and unpins it on scope exit.
 /// The gateway wraps each query dispatch in one of these so an early
 /// return can never leave a transaction pinned. Only this pins, and a
 /// transaction begun inside the scope (`System commitTransaction`) starts

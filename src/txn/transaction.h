@@ -48,6 +48,8 @@ class Transaction {
   std::size_t dirty_object_count() const {
     return dirty_.size() + created_.size();
   }
+  /// Whether it has written a permanent object (created ones aside).
+  bool wrote_permanent() const { return !dirty_.empty(); }
   /// Private copies still held; zero once the transaction finishes.
   std::size_t workspace_size() const { return working_.size(); }
 
@@ -78,10 +80,6 @@ class Transaction {
     pin_ = kTimeNow;
     if (dirty_.empty() && created_.empty()) read_set_.clear();
   }
-
-  /// Ends the pin but keeps every read: from here on reads are current
-  /// reads, validated at commit with those made at the pin.
-  void LeavePin() { pin_ = kTimeNow; }
 
   bool pinned() const { return pin_ != kTimeNow; }
 

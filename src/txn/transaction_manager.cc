@@ -12,9 +12,11 @@
 namespace gemstone::txn {
 
 TransactionManager::TransactionManager(ObjectMemory* memory,
-                                       storage::StorageEngine* engine)
+                                       storage::StorageEngine* engine,
+                                       PublishListener* listener)
     : memory_(memory),
       engine_(engine),
+      listener_(listener),
       commit_latency_us_(telemetry::MetricsRegistry::Global().GetHistogram(
           "txn.commit_latency_us")),
       publish_hold_us_(telemetry::MetricsRegistry::Global().GetHistogram(
@@ -317,18 +319,20 @@ Status TransactionManager::PersistAndPublish(
 
   // Publish phase: durability achieved; the only span in which a writer
   // excludes readers. Adopt the new catalog pages, move created objects
-  // into the permanent store, apply the updates, and advance the logical
-  // state. Nothing fallible is left (ObjectMemory pointers are stable and
-  // created oids were verified absent at stage, which no other writer
-  // could change since).
+  // into the permanent store, apply the updates, tell the listener, and
+  // advance the logical state. Nothing fallible is left (ObjectMemory
+  // pointers are stable and created oids were verified absent at stage,
+  // which no other writer could change since).
   WriterMutexLock lock(store_mu_);
   const auto held_since = std::chrono::steady_clock::now();
   if (engine_ != nullptr) engine_->Adopt(std::move(persisted));
   for (std::size_t i = 0; i < images.size(); ++i) {
     storage::ObjectImage& image = images[i];
     const PublishTarget& target = staged.targets[i];
+    const Oid oid = image.object->oid();
     if (target.created != nullptr) {
       (void)memory_->Insert(std::move(*target.created));
+      image.object = nullptr;  // moved: the listener sees it as created
     } else if (target.replacement != nullptr) {
       *target.permanent = std::move(*target.replacement);
     } else {
@@ -339,11 +343,12 @@ Status TransactionManager::PersistAndPublish(
         target.permanent->WriteIndexed(index, image.time, std::move(value));
       }
     }
-    if (commit_time.has_value()) {
-      last_commit_[image.object->oid().raw] = *commit_time;
-    }
+    if (commit_time.has_value()) last_commit_[oid.raw] = *commit_time;
   }
-  if (commit_time.has_value()) clock_.store(*commit_time);
+  if (commit_time.has_value()) {
+    if (listener_ != nullptr) listener_->Published(*commit_time, images);
+    clock_.store(*commit_time);
+  }
   publish_hold_us_->Observe(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - held_since)

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -24,6 +25,18 @@ class TierStore;
 }  // namespace gemstone::storage::tier
 
 namespace gemstone::txn {
+
+/// Told of every commit by its publish: the one writer of state a layer
+/// above keeps from committed objects (the index's directories).
+class PublishListener {
+ public:
+  virtual ~PublishListener() = default;
+  /// Runs under store_mu_ exclusive, after the images are applied and
+  /// before the clock reaches `time`. `images[i].object` is an updated
+  /// object (`named`/`indexed`: what it rebound), null for a created one.
+  virtual void Published(TxnTime time,
+                         const std::vector<storage::ObjectImage>& images) = 0;
+};
 
 /// Thin snapshot of the manager's telemetry counters (`txn.*`). Commit
 /// latency percentiles live in the registry histogram
@@ -68,8 +81,8 @@ struct TxnStats {
 ///   persist            no store lock (when a StorageEngine is attached,
 ///                      the safe group write and root flip)
 ///   publish            store_mu_ exclusive (adopt the engine's new
-///                      catalog pages, apply the images, advance
-///                      `last_commit_` and the clock)
+///                      catalog pages, apply the images, tell the
+///                      listener, advance `last_commit_` and the clock)
 ///
 /// Only publish mutates what readers see, and it follows a durable root
 /// flip. `last_commit_` and the clock change only in a publish, so a
@@ -100,7 +113,8 @@ class TransactionManager : public storage::tier::HistorySource {
   /// `engine`, when non-null, must be open; every commit then also writes
   /// the changed objects durably before publishing them.
   explicit TransactionManager(ObjectMemory* memory,
-                              storage::StorageEngine* engine = nullptr);
+                              storage::StorageEngine* engine = nullptr,
+                              PublishListener* listener = nullptr);
 
   ObjectMemory& memory() { return *memory_; }
 
@@ -151,6 +165,13 @@ class TransactionManager : public storage::tier::HistorySource {
   /// current clock, so the clock itself is safe: a transaction pinned at
   /// SafeTime that writes nothing can never be invalidated.
   TxnTime SafeTime() const { return clock_.load(); }
+
+  /// Runs `read` with publishes excluded, handing it the latest commit
+  /// time. `read` must not call back into this manager.
+  Status ReadCommitted(const std::function<Status(TxnTime)>& read) {
+    ReaderMutexLock lock(store_mu_);
+    return read(clock_.load());
+  }
 
   TxnStats stats() const;
 
@@ -343,6 +364,7 @@ class TransactionManager : public storage::tier::HistorySource {
 
   ObjectMemory* memory_;
   storage::StorageEngine* engine_;
+  PublishListener* listener_;
   storage::tier::TierStore* tiers_ = nullptr;
   const AccessController* access_ = nullptr;
 

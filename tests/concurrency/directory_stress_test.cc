@@ -1,7 +1,7 @@
 // Directory stress tests (ctest -L tsan): temporal posting mutation under
-// concurrent lookups, plus the DirectoryManager registry under a
-// create/find race (regression for the previously unlocked
-// directory_count()).
+// concurrent lookups, the DirectoryManager registry under a create/find
+// race (regression for the previously unlocked directory_count()), and
+// commit-driven maintenance under pinned probes.
 
 #include <atomic>
 #include <barrier>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "executor/executor.h"
 #include "index/directory.h"
 #include "object/object_memory.h"
 #include "txn/session.h"
@@ -42,7 +43,7 @@ TEST(DirectoryStress, MutationUnderConcurrentLookup) {
     for (int i = 0; i < kMembersPerWriter; ++i) {
       Oid member(static_cast<std::uint64_t>(w) * 1000 + i + 1);
       members[w].push_back(member);
-      directory.Add(red, member, /*at=*/1);
+      directory.Add(static_cast<SymbolId>(member.raw), red, member, /*at=*/1);
     }
   }
 
@@ -57,8 +58,9 @@ TEST(DirectoryStress, MutationUnderConcurrentLookup) {
       start.arrive_and_wait();
       for (Oid member : members[w]) {
         // red -> (remove) -> blue; each step at a fresh logical time.
-        directory.Remove(member, clock.fetch_add(1));
-        directory.Add(blue, member, clock.fetch_add(1));
+        const auto slot = static_cast<SymbolId>(member.raw);
+        directory.Remove(slot, clock.fetch_add(1));
+        directory.Add(slot, blue, member, clock.fetch_add(1));
       }
     });
   }
@@ -102,7 +104,7 @@ TEST(DirectoryStress, MutationUnderConcurrentLookup) {
 }
 
 // DirectoryManager: threads create directories over disjoint collections
-// while others poll Find/FindByFirstStep/directory_count. The count was
+// while others poll Find/directory_count. The count was
 // previously read without the registry lock — TSan catches any backslide.
 TEST(DirectoryStress, ManagerCreateVsFindAndCount) {
   constexpr int kCreators = 3;
@@ -110,8 +112,8 @@ TEST(DirectoryStress, ManagerCreateVsFindAndCount) {
   constexpr int kPerCreator = 12;
 
   ObjectMemory memory;
-  txn::TransactionManager manager(&memory);
   DirectoryManager directories(&memory);
+  txn::TransactionManager manager(&memory, nullptr, &directories);
   const SymbolId step = memory.symbols().Intern("name");
 
   // One empty Set per future directory, committed up front.
@@ -163,10 +165,6 @@ TEST(DirectoryStress, ManagerCreateVsFindAndCount) {
         for (int c = 0; c < kCreators; ++c) {
           for (Oid collection : collections[c]) {
             Directory* found = directories.Find(collection, {step});
-            if (found != nullptr &&
-                directories.FindByFirstStep(collection, step) == nullptr) {
-              errors.fetch_add(1);
-            }
             if (found != nullptr && found->collection() != collection) {
               errors.fetch_add(1);
             }
@@ -183,6 +181,87 @@ TEST(DirectoryStress, ManagerCreateVsFindAndCount) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(directories.directory_count(),
             static_cast<std::size_t>(kCreators * kPerCreator));
+}
+
+// Two writer sessions commit membership and key changes while two reader
+// sessions, each pinned at a committed time, run selectWhere: (a probe)
+// and select: (a scan) at their pin. Both read one snapshot, so they
+// agree whatever the writers publish meanwhile.
+TEST(DirectoryStress, PinnedProbeMatchesScanUnderCommits) {
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kRounds = 40;
+
+  executor::Executor executor;
+  std::atomic<int> errors{0};
+  auto run = [&](SessionId session, const std::string& source) {
+    auto result = executor.Execute(session, source);
+    if (!result.ok()) {
+      ADD_FAILURE() << result.status().ToString() << " in: " << source;
+      errors.fetch_add(1);
+      return Value::Nil();
+    }
+    return std::move(result).value();
+  };
+  const SessionId setup = executor.Login().ValueOrDie();
+  run(setup, "Object subclass: 'Part' instVarNames: #('id' 'kind')");
+  run(setup,
+      "Parts := Set new. Pool := Array new. "
+      "1 to: 16 do: [:i | | p id | p := Part new. id := 1. "
+      "1 to: i - 1 do: [:j | id := id * 2]. p instVarNamed: 'id' put: id. "
+      "p instVarNamed: 'kind' put: 'k' , (i \\\\ 2) printString. "
+      "i <= 8 ifTrue: [Parts add: p]. Pool add: p]. "
+      "System commitTransaction");
+  run(setup, "System createDirectoryOn: Parts path: #('kind')");
+  const std::string same =
+      "((Parts selectWhere: [:p | p!kind = 'k0']) inject: 0 into: "
+      "[:a :p | a + (p!id)]) = ((Parts select: [:p | p!kind = 'k0']) "
+      "inject: 0 into: [:a :p | a + (p!id)])";
+
+  std::vector<SessionId> ids;
+  for (int i = 0; i < kWriters + kReaders; ++i) {
+    ids.push_back(executor.Login().ValueOrDie());
+  }
+  std::barrier start(kWriters + kReaders);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        const std::string part =
+            "(Pool at: " + std::to_string((round * 7 + w * 5) % 16 + 1) + ")";
+        const std::string ops[] = {
+            "Parts add: " + part,
+            "Parts remove: " + part + " ifAbsent: [nil]",
+            part + " instVarNamed: 'kind' put: 'k" +
+                std::to_string(round % 2) + "'"};
+        // A conflict answers false and starts over; both are fine here.
+        run(ids[w], ops[(round + w) % 3] + ". System commitTransaction");
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      const SessionId id = ids[kWriters + r];
+      txn::Session* session = executor.session(id);
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        {
+          txn::SnapshotPin pin(session, executor.transactions().SafeTime());
+          if (!pin.pinned()) errors.fetch_add(1);
+          if (run(id, same) != Value::Boolean(true)) errors.fetch_add(1);
+        }
+        if (!session->Abort().ok() || !session->Begin().ok()) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  const SessionId check = executor.Login().ValueOrDie();
+  EXPECT_EQ(run(check, same), Value::Boolean(true));
 }
 
 }  // namespace

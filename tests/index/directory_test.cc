@@ -8,10 +8,9 @@ namespace {
 class DirectoryTest : public ::testing::Test {
  protected:
   DirectoryTest()
-      : manager_(&memory_),
-        txns_(&memory_),
-        session_(&txns_, 1),
-        dir_manager_(&memory_) {
+      : dir_manager_(&memory_),
+        txns_(&memory_, nullptr, &dir_manager_),
+        session_(&txns_, 1) {
     EXPECT_TRUE(session_.Begin().ok());
     dept_sym_ = memory_.symbols().Intern("dept");
     salary_sym_ = memory_.symbols().Intern("salary");
@@ -33,18 +32,17 @@ class DirectoryTest : public ::testing::Test {
   }
 
   ObjectMemory memory_;
-  index::DirectoryManager manager_;
+  DirectoryManager dir_manager_;  // the publish listener of txns_
   txn::TransactionManager txns_;
   txn::Session session_;
-  DirectoryManager dir_manager_;
   SymbolId dept_sym_, salary_sym_;
 };
 
 TEST_F(DirectoryTest, EqualityLookup) {
   Directory dir(Oid(1), {dept_sym_});
-  dir.Add(Value::String("Sales"), Oid(10), 1);
-  dir.Add(Value::String("Sales"), Oid(11), 1);
-  dir.Add(Value::String("Research"), Oid(12), 1);
+  dir.Add(1, Value::String("Sales"), Oid(10), 1);
+  dir.Add(2, Value::String("Sales"), Oid(11), 1);
+  dir.Add(3, Value::String("Research"), Oid(12), 1);
 
   auto sales = dir.Lookup(Value::String("Sales"), kTimeNow);
   EXPECT_EQ(sales.size(), 2u);
@@ -54,8 +52,8 @@ TEST_F(DirectoryTest, EqualityLookup) {
 
 TEST_F(DirectoryTest, TemporalPostings) {
   Directory dir(Oid(1), {dept_sym_});
-  dir.Add(Value::String("Sales"), Oid(10), 2);
-  dir.Remove(Oid(10), 8);  // member departs at t=8
+  dir.Add(1, Value::String("Sales"), Oid(10), 2);
+  dir.Remove(1, 8);  // member departs at t=8
   EXPECT_EQ(dir.Lookup(Value::String("Sales"), 1).size(), 0u);
   EXPECT_EQ(dir.Lookup(Value::String("Sales"), 5).size(), 1u);
   EXPECT_EQ(dir.Lookup(Value::String("Sales"), 8).size(), 0u);
@@ -68,8 +66,8 @@ TEST_F(DirectoryTest, DiscriminatorChangeAppearsOnTwoBranches) {
   // §6: "its object may need to appear along two branches of the
   // directory" — the member has different keys in different states.
   Directory dir(Oid(1), {dept_sym_});
-  dir.Add(Value::String("Sales"), Oid(10), 2);
-  dir.Add(Value::String("Research"), Oid(10), 6);  // transfer at t=6
+  dir.Add(1, Value::String("Sales"), Oid(10), 2);
+  dir.Add(1, Value::String("Research"), Oid(10), 6);  // transfer at t=6
   EXPECT_EQ(dir.Lookup(Value::String("Sales"), 4).size(), 1u);
   EXPECT_EQ(dir.Lookup(Value::String("Research"), 4).size(), 0u);
   EXPECT_EQ(dir.Lookup(Value::String("Sales"), 7).size(), 0u);
@@ -79,9 +77,10 @@ TEST_F(DirectoryTest, DiscriminatorChangeAppearsOnTwoBranches) {
 
 TEST_F(DirectoryTest, RangeLookupOrdersNumbersCorrectly) {
   Directory dir(Oid(1), {salary_sym_});
+  SymbolId slot = 0;
   for (std::int64_t s : {900, 1000, 5000, 10000, 20000, -50}) {
-    dir.Add(Value::Integer(s), Oid(static_cast<std::uint64_t>(1000 + s + 60)),
-            1);
+    dir.Add(++slot, Value::Integer(s),
+            Oid(static_cast<std::uint64_t>(1000 + s + 60)), 1);
   }
   // Lexicographic "10000" < "900" would be wrong; the encoding is
   // order-preserving.
@@ -113,8 +112,6 @@ TEST_F(DirectoryTest, ManagerCreatePopulatesFromCollection) {
             StatusCode::kAlreadyExists);
   EXPECT_EQ(dir_manager_.CreateDirectory(&session_, set, {}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_NE(dir_manager_.FindByFirstStep(set, dept_sym_), nullptr);
-  EXPECT_EQ(dir_manager_.FindByFirstStep(set, salary_sym_), nullptr);
 }
 
 TEST_F(DirectoryTest, ManagerMaintainsOnAddRemove) {
@@ -122,19 +119,17 @@ TEST_F(DirectoryTest, ManagerMaintainsOnAddRemove) {
   Commit();
   ASSERT_TRUE(dir_manager_.CreateDirectory(&session_, set, {dept_sym_}).ok());
 
-  // Hooks fire alongside the collection writes they describe (as the
-  // OPAL add:/remove: primitives do), so the commit advances the clock
-  // past the posting boundary.
+  // The commit is the directory's one writer: nothing posts until the
+  // collection write publishes.
   Oid e = MakeEmployee("Sales", 1234);
   SymbolId alias = memory_.symbols().GenerateAlias();
   ASSERT_TRUE(session_.WriteNamed(set, alias, Value::Ref(e)).ok());
-  ASSERT_TRUE(dir_manager_.NoteAdd(&session_, set, Value::Ref(e)).ok());
-  Commit();
   Directory* dir = dir_manager_.Find(set, {dept_sym_});
+  EXPECT_EQ(dir->Lookup(Value::String("Sales"), kTimeNow).size(), 0u);
+  Commit();
   EXPECT_EQ(dir->Lookup(Value::String("Sales"), txns_.Now()).size(), 1u);
 
   ASSERT_TRUE(session_.WriteNamed(set, alias, Value::Nil()).ok());
-  ASSERT_TRUE(dir_manager_.NoteRemove(&session_, set, Value::Ref(e)).ok());
   Commit();
   EXPECT_EQ(dir->Lookup(Value::String("Sales"), txns_.Now()).size(), 0u);
 }
@@ -161,12 +156,13 @@ TEST_F(DirectoryTest, CreateUnderAPinFillsFromTheLatestState) {
                   .ok());
   ASSERT_TRUE(other.Commit().ok());
 
-  // Only a registered directory is maintained, so creation fills it from
-  // the latest committed state, not the pin: the late member is in it,
-  // and the request reads at now from here on.
+  // Creation fills from the latest committed state, not the pin: the
+  // late member is in it. The pin stays, and the request keeps reading
+  // at it (a probe there, before the fill, would scan instead).
+  const TxnTime pinned_at = session_.EffectiveTime();
   ASSERT_TRUE(dir_manager_.CreateDirectory(&session_, set, {dept_sym_}).ok());
-  EXPECT_FALSE(session_.transaction()->pinned());
-  EXPECT_EQ(session_.EffectiveTime(), kTimeNow);
+  EXPECT_TRUE(session_.transaction()->pinned());
+  EXPECT_EQ(session_.EffectiveTime(), pinned_at);
   Directory* dir = dir_manager_.Find(set, {dept_sym_});
   ASSERT_NE(dir, nullptr);
   EXPECT_EQ(dir->Lookup(Value::String("Sales"), txns_.Now()).size(), 2u);
@@ -197,7 +193,7 @@ TEST_F(DirectoryTest, NestedDiscriminatorPath) {
 
 TEST_F(DirectoryTest, StatsCountWork) {
   Directory dir(Oid(1), {dept_sym_});
-  dir.Add(Value::String("a"), Oid(1), 1);
+  dir.Add(1, Value::String("a"), Oid(1), 1);
   (void)dir.Lookup(Value::String("a"), kTimeNow);
   (void)dir.Lookup(Value::String("b"), kTimeNow);
   DirectoryStats stats = dir.stats();

@@ -35,17 +35,6 @@ TEST(GsObjectTest, OptionalVariablesCostNothingUntilBound) {
   EXPECT_EQ(obj.TotalAssociations(), 1u);
 }
 
-TEST(GsObjectTest, CountBoundSkipsNilAndUnborn) {
-  GsObject obj(Oid(1), Oid(2));
-  obj.WriteNamed(1, 2, Value::Integer(1));
-  obj.WriteNamed(2, 4, Value::Integer(2));
-  obj.WriteNamed(1, 6, Value::Nil());  // member departs at t=6
-  EXPECT_EQ(obj.CountBoundNamedAt(1), 0u);
-  EXPECT_EQ(obj.CountBoundNamedAt(3), 1u);
-  EXPECT_EQ(obj.CountBoundNamedAt(5), 2u);
-  EXPECT_EQ(obj.CountBoundNamedAt(7), 1u);
-}
-
 TEST(GsObjectTest, IndexedAppendAndRead) {
   GsObject obj(Oid(1), Oid(2));
   EXPECT_EQ(obj.AppendIndexed(1, Value::String("Anders")), 0u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "executor/executor.h"
+#include "telemetry/metrics.h"
 
 namespace gemstone::opal {
 namespace {
@@ -363,11 +364,17 @@ TEST_F(OpalTest, SelectWhereUsesDirectory) {
   Eval("System commitTransaction");
   EXPECT_EQ(Eval("System createDirectoryOn: Emps2 path: #('dept')"),
             Value::Boolean(true));
+  auto lookups = [] {
+    return telemetry::MetricsRegistry::Global()
+        .Snapshot()
+        .counters["directory.lookups"];
+  };
+  const std::uint64_t before = lookups();
   // Directory-accelerated equality probe gives the same answer.
   EXPECT_EQ(Eval("(Emps2 selectWhere: [:e | e!dept = '3']) size"),
             Value::Integer(10));
-  // The directory was actually consulted.
-  EXPECT_GE(executor_.directories().directory_count(), 1u);
+  // The directory was actually consulted, once.
+  EXPECT_EQ(lookups(), before + 1);
 }
 
 // --- Cascades, printString, globals -------------------------------------------------
